@@ -199,6 +199,7 @@ class FrozenLinkAdapter:
     def __init__(self, phi: InertialParams):
         self._phi = phi.as_vector()
         self._L = params_to_pseudo(phi)
+        self._min_eig = float(np.linalg.eigvalsh(self._L)[0])
 
     def phi_hat(self) -> np.ndarray:
         return self._phi
@@ -207,7 +208,7 @@ class FrozenLinkAdapter:
         pass
 
     def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self._L)[0])
+        return self._min_eig
 
     def pseudo(self) -> np.ndarray:
         return self._L

@@ -39,12 +39,16 @@ def builtin_config_path(name: str) -> pathlib.Path:
 
 
 def resolve_config_path(name: str, relative_to: pathlib.Path | None = None) -> pathlib.Path:
-    """Resolve a config reference: explicit path first, then built-in name."""
+    """Resolve a config reference: explicit path first, then built-in name.
+
+    A path relative to ``relative_to`` (a manifest's directory) is tried before
+    the current directory, so a same-named file there cannot shadow it.
+    """
     p = pathlib.Path(name)
-    if p.exists():
-        return p
     if relative_to is not None and (relative_to / p).exists():
         return relative_to / p
+    if p.exists():
+        return p
     return builtin_config_path(name)
 
 

@@ -1,19 +1,20 @@
 """Plant simulation and scenario harness.
 
-The plant side deliberately does not reuse the controller's sweeps: the
-inverse dynamics below is its own recursive Newton-Euler pass over raw
-arrays, and it assembles net wrenches with the original (center-of-mass)
-Coriolis form, so agreement with the controller-side force propagation is a
-genuine cross-check rather than the same code run twice.
+The plant side deliberately does not reuse the controller's sweeps: its
+dynamics is its own recursive Newton-Euler pass over per-link constants it
+builds itself, and it assembles net wrenches with the original
+(center-of-mass) Coriolis form, so agreement with the controller-side force
+propagation is a genuine cross-check rather than the same code run twice.
 
 The joint-space plant is
 
-    (M_link(q) + diag(I_m)) qddot + bias(q, qdot) = tau + J^T f_ext,
+    (M_link(q) + diag(I_m)) qddot + bias(q, qdot) = tau + J^T f_ext.
 
-with M_link assembled column-by-column from unit-acceleration inverse-dynamics
-calls and the bias from a zero-acceleration call.  External wrenches act at
-the tip-frame origin and are given in world coordinates; the recursion sees
-their negative, rotated into the tip frame.
+One recursion yields both sides: it carries the bias column (zero
+acceleration) and the n unit-acceleration columns of M_link through one
+forward and one backward pass.  External wrenches act at the tip-frame origin
+and are given in world coordinates; the recursion sees their negative,
+rotated into the tip frame.
 
 Scenario runs are deterministic: all randomness flows through one seeded
 generator, and a re-run with the same configs and seed reproduces the run
@@ -33,10 +34,13 @@ from .controller import (ControllerGains, StabilityDiagnostics, VdcController,
                          stability_diagnostics)
 from .kinematics import (CartesianQuinticReference, JointSineReference, RobotModel,
                          forward_kinematics)
-from .rigid_body import coriolis_matrix_original, gravity_wrench, mass_matrix
-from .spatial import SpatialWrench, axis_rotation, cross3, skew
+from .rigid_body import mass_matrix
+from .spatial import SpatialWrench, axis_rotation, skew
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+
+# (w @ _SKEW_BASIS).reshape(3, 3) == skew(w), for a batch of rows w
+_SKEW_BASIS = np.array([skew(e).ravel() for e in np.eye(3)])
 
 
 def _as_world_wrench(f_ext) -> np.ndarray | None:
@@ -50,6 +54,108 @@ def _as_world_wrench(f_ext) -> np.ndarray | None:
     return f_ext.reshape(6)
 
 
+@dataclass(frozen=True)
+class _PlantConstants:
+    """Per-link constants of the plant recursion, stacked along the chain."""
+
+    axes: tuple[tuple[str, int], ...]   # axis name and its angular slot
+    turn: np.ndarray                # blockdiag(skew(k), skew(k)), k the axis unit
+    tip: np.ndarray                 # velocity map B_i -> T_i from Rt^T, skew(r)
+    mass: np.ndarray                # spatial mass matrices
+    m: np.ndarray                   # (n, 1, 1)
+    hx: np.ndarray                  # skew(h)
+    rx: np.ndarray                  # skew(com)
+    inertia_com: np.ndarray
+    motor: np.ndarray               # diag(I_m)
+
+    @classmethod
+    def build(cls, model: RobotModel) -> "_PlantConstants":
+        n = model.n
+        turn, tip = np.zeros((2, n, 6, 6))
+        for i, joint in enumerate(model.joints):
+            turn[i, :3, :3] = turn[i, 3:, 3:] = skew(joint.axis_unit)
+            tip[i, :3, :3] = tip[i, 3:, 3:] = joint.tip.R.T
+            tip[i, :3, 3:] = -joint.tip.R.T @ skew(joint.tip.r)
+        links = [joint.link for joint in model.joints]
+        m = np.array([link.mass for link in links]).reshape(n, 1, 1)
+        rx = np.array([skew(link.com) for link in links])
+        return cls(tuple((j.axis, 3 + _AXIS_INDEX[j.axis]) for j in model.joints), turn, tip,
+                   np.array([mass_matrix(link) for link in links]), m,
+                   np.array([skew(link.first_moment) for link in links]), rx,
+                   np.array([link.inertia for link in links]) + m * (rx @ rx),
+                   np.diag([j.motor_inertia for j in model.joints]))
+
+
+# the last model the plant saw, held (so its id cannot be reused) and compared by `is`
+_cached_constants: tuple[RobotModel, _PlantConstants] | None = None
+
+
+def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=None,
+                  mass_columns: bool = True):
+    """(bias, M_link + diag(I_m)) from one pass; M is None without ``mass_columns``.
+
+    The forward pass carries [v | a | A] per B frame: velocity, bias acceleration
+    (rates, gravity as an upward base acceleration, optional ``qddot``) and one
+    unit-acceleration column per joint (zero rates and gravity).  Net wrenches are
+    M_i [a | A] plus C(omega_i) v on the bias column, C in the center-of-mass
+    (original) form; one backward pass carries every column down.
+    """
+    global _cached_constants
+    if _cached_constants is None or _cached_constants[0] is not model:
+        _cached_constants = (model, _PlantConstants.build(model))
+    k = _cached_constants[1]
+    n = model.n
+    g = model.gravity if gravity is None else np.asarray(gravity, dtype=float)
+
+    X = np.zeros((6, 2 + n if mass_columns else 2))
+    X[:3, 1] = model.base.R.T @ g
+    frames = np.empty((n, 6, X.shape[1]))
+    rotations = []
+    for i in range(n):
+        axis, slot = k.axes[i]
+        Rj = axis_rotation(axis, q[i])
+        rotations.append(Rj)
+        X = (Rj.T @ X.reshape(2, 3, -1)).reshape(6, -1)
+        X[:, 1] -= qdot[i] * (k.turn[i] @ X[:, 0])
+        X[slot, 0] += qdot[i]
+        if qddot is not None:
+            X[slot, 1] += qddot[i]
+        if mass_columns:
+            X[slot, 2 + i] = 1.0
+        frames[i] = X
+        X = k.tip[i] @ X
+
+    # net wrench of every link in its B frame, all links at once
+    net = k.mass @ frames[:, :, 1:]
+    v = frames[:, :, 0]
+    wx = (v[:, 3:] @ _SKEW_BASIS).reshape(n, 3, 3)
+    C = np.empty((n, 6, 6))
+    C[:, :3, :3] = k.m * wx
+    C[:, :3, 3:] = -(wx @ k.hx)
+    C[:, 3:, :3] = k.hx @ wx
+    C[:, 3:, 3:] = wx @ k.inertia_com + k.inertia_com @ wx - k.m * (k.rx @ wx @ k.rx)
+    net[:, :, 0] += (C @ v[:, :, None])[:, :, 0]
+
+    w_ext = _as_world_wrench(f_ext)
+    if w_ext is not None:           # the chain passes on -f_ext at T_n
+        RT = model.base.R.T
+        for Rj, tip in zip(rotations, k.tip):
+            RT = tip[:3, :3] @ (Rj.T @ RT)
+        net[n - 1, :, 0] -= k.tip[n - 1].T @ np.concatenate((RT @ w_ext[:3], RT @ w_ext[3:]))
+
+    rows = np.empty((n, net.shape[2]))
+    f = net[n - 1]
+    for j in range(n - 1, -1, -1):
+        rows[j] = f[k.axes[j][1]]
+        if j:
+            f = net[j - 1] + k.tip[j - 1].T @ (
+                rotations[j] @ f.reshape(2, 3, -1)).reshape(6, -1)
+    if not mass_columns:
+        return rows[:, 0], None
+    M = rows[:, 1:] + k.motor
+    return rows[:, 0], 0.5 * (M + M.T)
+
+
 def inverse_dynamics(model: RobotModel, q, qdot, qddot, f_ext=None,
                      gravity=None) -> np.ndarray:
     """Joint torques balancing the chain at (q, qdot, qddot).
@@ -59,129 +165,22 @@ def inverse_dynamics(model: RobotModel, q, qdot, qddot, f_ext=None,
     chain passes on its negative at T_n.  ``gravity`` overrides the model's
     inertial-frame gravity vector (used to switch gravity off).
     """
-    n = model.n
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    qddot = np.asarray(qddot, dtype=float)
-    g = model.gravity if gravity is None else np.asarray(gravity, dtype=float)
-
-    # forward pass: pose, velocity and coordinate acceleration of every B frame
-    R_w = model.base.R
-    v = np.zeros(6)
-    a = np.zeros(6)
-    Rb_w = np.empty((n, 3, 3))
-    vb = np.empty((n, 6))
-    ab = np.empty((n, 6))
-    Rjs = []
-    gravity_on = bool(np.any(g))
-    for i, joint in enumerate(model.joints):
-        Rj = axis_rotation(joint.axis, q[i])
-        Rjs.append(Rj)
-        k3 = joint.axis_unit
-        RjT = Rj.T
-        vb[i, :3] = RjT @ v[:3]
-        vb[i, 3:] = RjT @ v[3:]
-        ab[i, :3] = RjT @ a[:3] - qdot[i] * cross3(k3, vb[i, :3])
-        ab[i, 3:] = RjT @ a[3:] - qdot[i] * cross3(k3, vb[i, 3:])
-        slot = 3 + _AXIS_INDEX[joint.axis]
-        vb[i, slot] += qdot[i]
-        ab[i, slot] += qddot[i]
-        R_w = R_w @ Rj
-        Rb_w[i] = R_w
-        # move to T_i (constant transform within the link)
-        Rt, rt = joint.tip.R, joint.tip.r
-        RtT = Rt.T
-        v = np.empty(6)
-        v[:3] = RtT @ (vb[i, :3] + cross3(vb[i, 3:], rt))
-        v[3:] = RtT @ vb[i, 3:]
-        a = np.empty(6)
-        a[:3] = RtT @ (ab[i, :3] + cross3(ab[i, 3:], rt))
-        a[3:] = RtT @ ab[i, 3:]
-        R_w = R_w @ Rt
-
-    # net wrench of each link in its B frame (original Coriolis form)
-    net = np.empty((n, 6))
-    for i, joint in enumerate(model.joints):
-        M = mass_matrix(joint.link)
-        C = coriolis_matrix_original(joint.link, vb[i, 3:])
-        net[i] = M @ ab[i] + C @ vb[i]
-        if gravity_on:
-            net[i] += gravity_wrench(joint.link, Rb_w[i].T, g)
-
-    # backward pass
-    w_ext = _as_world_wrench(f_ext)
-    if w_ext is None:
-        carried = np.zeros(6)
-    else:
-        carried = np.empty(6)
-        carried[:3] = -(R_w.T @ w_ext[:3])
-        carried[3:] = -(R_w.T @ w_ext[3:])
-    tau = np.empty(n)
-    for j in range(n - 1, -1, -1):
-        joint = model.joints[j]
-        Rt, rt = joint.tip.R, joint.tip.r
-        f = Rt @ carried[:3]
-        fb = net[j].copy()
-        fb[:3] += f
-        fb[3:] += cross3(rt, f) + Rt @ carried[3:]
-        tau[j] = fb[3 + _AXIS_INDEX[joint.axis]]
-        Rj = Rjs[j]
-        carried = np.empty(6)
-        carried[:3] = Rj @ fb[:3]
-        carried[3:] = Rj @ fb[3:]
-    return tau
+    return _newton_euler(model, q, qdot, qddot, f_ext, gravity, mass_columns=False)[0]
 
 
 def joint_space_mass_matrix(model: RobotModel, q) -> np.ndarray:
-    """Chain mass matrix plus the reflected drive inertias on the diagonal.
-
-    Column j is the inverse dynamics of a unit acceleration at joint j with
-    zero rates and gravity off; the recursion carries all n columns at once
-    (velocities vanish identically, so only M_i survives in each net wrench).
-    """
-    n = model.n
-    q = np.asarray(q, dtype=float)
-    Rjs = [axis_rotation(j.axis, q[i]) for i, j in enumerate(model.joints)]
-
-    A = np.empty((n, 6, n))          # A[i][:, j]: accel of B_i for unit qddot_j
-    prev = np.zeros((6, n))
-    for i, joint in enumerate(model.joints):
-        RjT = Rjs[i].T
-        Ai = np.empty((6, n))
-        Ai[:3] = RjT @ prev[:3]
-        Ai[3:] = RjT @ prev[3:]
-        Ai[3 + _AXIS_INDEX[joint.axis], i] += 1.0
-        A[i] = Ai
-        Rt, rt = joint.tip.R, joint.tip.r
-        prev = np.empty((6, n))
-        prev[:3] = Rt.T @ (Ai[:3] - skew(rt) @ Ai[3:])
-        prev[3:] = Rt.T @ Ai[3:]
-
-    M = np.empty((n, n))
-    carried = np.zeros((6, n))
-    for j in range(n - 1, -1, -1):
-        joint = model.joints[j]
-        Rt, rt = joint.tip.R, joint.tip.r
-        f = Rt @ carried[:3]
-        fb = mass_matrix(joint.link) @ A[j]
-        fb[:3] += f
-        fb[3:] += skew(rt) @ f + Rt @ carried[3:]
-        M[j] = fb[3 + _AXIS_INDEX[joint.axis]]
-        carried = np.vstack((Rjs[j] @ fb[:3], Rjs[j] @ fb[3:]))
-    M += np.diag([j.motor_inertia for j in model.joints])
-    return 0.5 * (M + M.T)
+    """Chain mass matrix plus the reflected drive inertias on the diagonal."""
+    return _newton_euler(model, q, np.zeros(model.n), gravity=np.zeros(3))[1]
 
 
 def forward_dynamics(model: RobotModel, q, qdot, tau, f_ext=None) -> np.ndarray:
     """Solve (M_link + diag(I_m)) qddot = tau - bias(q, qdot, f_ext).
 
-    The external-wrench contribution enters through the bias call, which
-    carries ``f_ext`` down the chain; this is Jacobian-transpose coupling
-    without forming J.
+    Bias and mass matrix come from one recursion; ``f_ext`` enters through the
+    bias column (Jacobian-transpose coupling without forming J).
     """
-    bias = inverse_dynamics(model, q, qdot, np.zeros(model.n), f_ext=f_ext)
-    return np.linalg.solve(joint_space_mass_matrix(model, q),
-                           np.asarray(tau, dtype=float) - bias)
+    bias, M = _newton_euler(model, q, qdot, f_ext=f_ext)
+    return np.linalg.solve(M, np.asarray(tau, dtype=float) - bias)
 
 
 def kinetic_energy(model: RobotModel, q, qdot) -> float:
@@ -197,14 +196,15 @@ def step_semi_implicit(model: RobotModel, q, qdot, tau, dt, wrench_fn=None, t=0.
     return q + dt * qdot_new, qdot_new, qddot
 
 
-def step_rk4(model: RobotModel, q, qdot, tau, dt, wrench_fn=None, t=0.0):
-    """Classical RK4 on (q, qdot) with zero-order-hold torque."""
+def step_rk4(model: RobotModel, q, qdot, tau, dt, wrench_fn=None, t=0.0, qddot=None):
+    """Classical RK4 on (q, qdot) with zero-order-hold torque; ``qddot``, the
+    acceleration if already solved at (t, q, qdot), is taken as the first stage."""
     def accel(ti, qi, qdi):
         f = wrench_fn(ti) if wrench_fn else None
         return forward_dynamics(model, qi, qdi, tau, f)
 
     k1q = qdot
-    k1v = accel(t, q, qdot)
+    k1v = accel(t, q, qdot) if qddot is None else qddot
     k2q = qdot + 0.5 * dt * k1v
     k2v = accel(t + 0.5 * dt, q + 0.5 * dt * k1q, k2q)
     k3q = qdot + 0.5 * dt * k2v
@@ -459,7 +459,7 @@ def run_scenario(model: RobotModel, cfg: SimConfig, repetition: int = 0,
             q = q + dt * qdot
         else:
             q, qdot, _ = step_rk4(model, q, qdot, tau, dt,
-                                  wrench_fn=cfg.disturbance.wrench, t=t)
+                                  wrench_fn=cfg.disturbance.wrench, t=t, qddot=qddot)
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
             raise FloatingPointError(f"simulation diverged at t = {t:.3f} s "
                                      f"(repetition {repetition})")

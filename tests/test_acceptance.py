@@ -205,7 +205,7 @@ def _stability_rollout(model, qdot0):
                                      np.zeros(6), links, joints)
         nu[k] = diag.nu_total
         telescope[k] = np.max(np.abs(diag.telescope))
-        q, qdot, _ = step_rk4(model, q, qdot, tau, dt)
+        q, qdot, _ = step_rk4(model, q, qdot, tau, dt, qddot=qddot)
     return nu, telescope
 
 

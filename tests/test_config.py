@@ -41,6 +41,14 @@ def test_resolve_config_path(tmp_path):
     assert resolve_config_path("arm7", tmp_path) == builtin_config_path("arm7")
 
 
+def test_manifest_configs_not_shadowed_by_working_directory(tmp_path, monkeypatch):
+    text = builtin_config_path("arm7").read_text()
+    assert text.count("name: arm7\n") == 1
+    (tmp_path / "arm7.yaml").write_text(text.replace("name: arm7\n", "name: shadowed_arm7\n"))
+    monkeypatch.chdir(tmp_path)
+    assert load_manifest(builtin_config_path("exo_pose_manifest")).load()[0].name == "arm7"
+
+
 def test_load_shipped_robots():
     arm = load_robot(builtin_config_path("arm7"))
     assert arm.name == "arm7"

@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
+import vdcnal.simulation as simulation
 from conftest import pendulum_accel, zero_gravity_clone
-from vdcnal.config import builtin_config_path, load_sim
+from vdcnal.config import builtin_config_path, load_robot, load_sim
 from vdcnal.kinematics import chain_poses, jacobian
+from vdcnal.rigid_body import coriolis_matrix_original, gravity_wrench, mass_matrix
+from vdcnal.spatial import axis_rotation, cross3, skew
 from vdcnal.simulation import (
     AdaptationSpec,
     DisturbanceSpec,
@@ -25,6 +28,159 @@ from vdcnal.simulation import (
     tuning_burden,
 )
 from vdcnal.controller import ControllerGains
+
+
+_SLOT = {"x": 3, "y": 4, "z": 5}
+
+
+def _oracle_inverse_dynamics(model, q, qdot, qddot, f_ext=None, gravity=None):
+    """Two-pass Newton-Euler bias recursion, one 6-vector per frame."""
+    n = model.n
+    g = model.gravity if gravity is None else gravity
+    R_w = model.base.R
+    v = np.zeros(6)
+    a = np.zeros(6)
+    Rb_w = np.empty((n, 3, 3))
+    vb = np.empty((n, 6))
+    ab = np.empty((n, 6))
+    Rjs = []
+    for i, joint in enumerate(model.joints):
+        Rj = axis_rotation(joint.axis, q[i])
+        Rjs.append(Rj)
+        k3 = joint.axis_unit
+        vb[i, :3] = Rj.T @ v[:3]
+        vb[i, 3:] = Rj.T @ v[3:]
+        ab[i, :3] = Rj.T @ a[:3] - qdot[i] * cross3(k3, vb[i, :3])
+        ab[i, 3:] = Rj.T @ a[3:] - qdot[i] * cross3(k3, vb[i, 3:])
+        vb[i, _SLOT[joint.axis]] += qdot[i]
+        ab[i, _SLOT[joint.axis]] += qddot[i]
+        R_w = R_w @ Rj
+        Rb_w[i] = R_w
+        Rt, rt = joint.tip.R, joint.tip.r
+        v = np.concatenate((Rt.T @ (vb[i, :3] + cross3(vb[i, 3:], rt)), Rt.T @ vb[i, 3:]))
+        a = np.concatenate((Rt.T @ (ab[i, :3] + cross3(ab[i, 3:], rt)), Rt.T @ ab[i, 3:]))
+        R_w = R_w @ Rt
+    net = np.array([mass_matrix(j.link) @ ab[i]
+                    + coriolis_matrix_original(j.link, vb[i, 3:]) @ vb[i]
+                    + gravity_wrench(j.link, Rb_w[i].T, g)
+                    for i, j in enumerate(model.joints)])
+    carried = np.zeros(6)
+    if f_ext is not None:
+        carried = -np.concatenate((R_w.T @ f_ext[:3], R_w.T @ f_ext[3:]))
+    tau = np.empty(n)
+    for j in range(n - 1, -1, -1):
+        joint = model.joints[j]
+        Rt, rt = joint.tip.R, joint.tip.r
+        f = Rt @ carried[:3]
+        fb = net[j].copy()
+        fb[:3] += f
+        fb[3:] += cross3(rt, f) + Rt @ carried[3:]
+        tau[j] = fb[_SLOT[joint.axis]]
+        carried = np.concatenate((Rjs[j] @ fb[:3], Rjs[j] @ fb[3:]))
+    return tau
+
+
+def _oracle_mass_matrix(model, q):
+    """Unit-acceleration columns carried through their own two passes."""
+    n = model.n
+    Rjs = [axis_rotation(j.axis, q[i]) for i, j in enumerate(model.joints)]
+    A = np.empty((n, 6, n))
+    prev = np.zeros((6, n))
+    for i, joint in enumerate(model.joints):
+        Ai = np.vstack((Rjs[i].T @ prev[:3], Rjs[i].T @ prev[3:]))
+        Ai[_SLOT[joint.axis], i] += 1.0
+        A[i] = Ai
+        Rt, rt = joint.tip.R, joint.tip.r
+        prev = np.vstack((Rt.T @ (Ai[:3] - skew(rt) @ Ai[3:]), Rt.T @ Ai[3:]))
+    M = np.empty((n, n))
+    carried = np.zeros((6, n))
+    for j in range(n - 1, -1, -1):
+        joint = model.joints[j]
+        Rt, rt = joint.tip.R, joint.tip.r
+        f = Rt @ carried[:3]
+        fb = mass_matrix(joint.link) @ A[j]
+        fb[:3] += f
+        fb[3:] += skew(rt) @ f + Rt @ carried[3:]
+        M[j] = fb[_SLOT[joint.axis]]
+        carried = np.vstack((Rjs[j] @ fb[:3], Rjs[j] @ fb[3:]))
+    M += np.diag([j.motor_inertia for j in model.joints])
+    return 0.5 * (M + M.T)
+
+
+def _oracle_forward_dynamics(model, q, qdot, tau, f_ext=None):
+    bias = _oracle_inverse_dynamics(model, q, qdot, np.zeros(model.n), f_ext)
+    return np.linalg.solve(_oracle_mass_matrix(model, q), tau - bias)
+
+
+def _assert_close(got, want, rel=1e-12):
+    assert np.all(np.abs(got - want) <= rel * (1.0 + np.abs(want)))
+
+
+def test_fused_recursion_matches_two_pass_oracle(rrr3, arm7, pendulum):
+    rng = np.random.default_rng(66)
+    for model in (arm7, rrr3, pendulum):
+        for _ in range(200):
+            q = rng.uniform(-np.pi, np.pi, model.n)
+            qdot = 2.0 * rng.standard_normal(model.n)
+            qddot = rng.standard_normal(model.n)
+            tau = rng.standard_normal(model.n)
+            F = rng.standard_normal(6)
+            _assert_close(joint_space_mass_matrix(model, q), _oracle_mass_matrix(model, q))
+            for f_ext in (None, F):
+                for gravity in (None, np.zeros(3)):
+                    _assert_close(
+                        inverse_dynamics(model, q, qdot, qddot, f_ext, gravity),
+                        _oracle_inverse_dynamics(model, q, qdot, qddot, f_ext, gravity))
+                _assert_close(forward_dynamics(model, q, qdot, tau, f_ext),
+                              _oracle_forward_dynamics(model, q, qdot, tau, f_ext))
+
+
+def test_plant_constants_follow_the_model(rrr3, arm7, tmp_path):
+    # a same-named model with a heavier link must not reuse arm7's constants
+    text = builtin_config_path("arm7").read_text()
+    assert text.count("mass_kg: 2.0\n") >= 1
+    (tmp_path / "heavy.yaml").write_text(text.replace("mass_kg: 2.0\n", "mass_kg: 3.5\n", 1))
+    heavy = load_robot(tmp_path / "heavy.yaml")
+    assert heavy.name == arm7.name
+    assert [j.link.mass for j in heavy.joints] != [j.link.mass for j in arm7.joints]
+    rng = np.random.default_rng(67)
+    for model in (arm7, rrr3, arm7, heavy, arm7, heavy):
+        q = rng.uniform(-1.0, 1.0, model.n)
+        qdot = rng.standard_normal(model.n)
+        tau = rng.standard_normal(model.n)
+        _assert_close(forward_dynamics(model, q, qdot, tau),
+                      _oracle_forward_dynamics(model, q, qdot, tau))
+
+
+def test_rk4_given_start_acceleration_is_bit_identical(arm7):
+    rng = np.random.default_rng(68)
+    wrench = DisturbanceSpec(kind="sine").wrench
+    q = rng.uniform(-1.0, 1.0, 7)
+    qdot = rng.standard_normal(7)
+    tau = rng.standard_normal(7)
+    t = 0.37
+    qddot = forward_dynamics(arm7, q, qdot, tau, wrench(t))
+    plain = step_rk4(arm7, q, qdot, tau, 1e-3, wrench_fn=wrench, t=t)
+    reused = step_rk4(arm7, q, qdot, tau, 1e-3, wrench_fn=wrench, t=t, qddot=qddot)
+    for a, b in zip(plain, reused):
+        assert np.array_equal(a, b)
+
+
+def test_rk4_run_solves_the_plant_four_times_per_tick(arm7, monkeypatch):
+    calls = []
+    solve = simulation.forward_dynamics
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "forward_dynamics", counted)
+    cfg = load_sim(builtin_config_path("exo_stability"))
+    assert cfg.integrator == "rk4"
+    cfg.duration_s = 0.01
+    log = run_scenario(arm7, cfg, repetition=0)
+    assert log.data.shape[0] == 10
+    assert len(calls) == 4 * 10
 
 
 def _potential(model, q):
