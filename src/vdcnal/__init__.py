@@ -6,44 +6,5 @@ manifold of physically consistent parameters (so estimates can never leave
 it), a classic per-channel projection law as the baseline, and a simulation
 harness with an independent Newton-Euler plant.
 """
-from .adaptation import (NalState, ProjectionState, nal_step, nal_step_scalar,
-                         projection_step, pseudo_basis, solve_dual)
-from .config import (ConfigError, ExperimentManifest, builtin_config_path,
-                     load_manifest, load_robot, load_sim)
-from .controller import (ControllerGains, StabilityDiagnostics, StepSnapshot,
-                         VdcController, stability_diagnostics, virtual_power_flow)
-from .kinematics import (CartesianQuinticReference, Joint, JointSineReference, Pose,
-                         RobotModel, clik_required_velocity, forward_kinematics,
-                         jacobian, orientation_error, pose_error, quintic_trajectory)
-from .manifold import (bregman_divergence, geodesic_distance, is_consistent,
-                       params_to_pseudo, pseudo_to_params, riemannian_metric)
-from .rigid_body import (GRAVITY, BodyMatrices, InertialParams, assemble_matrices,
-                         coriolis_matrix, coriolis_matrix_original, gravity_wrench,
-                         mass_matrix, net_wrench, regressor)
-from .simulation import (DisturbanceSpec, RunLog, SimConfig, forward_dynamics,
-                         inverse_dynamics, joint_space_mass_matrix, kinetic_energy,
-                         rmse, run_scenario, tuning_burden)
-from .spatial import (FrameTransform, SpatialVelocity, SpatialWrench, UnitQuaternion,
-                      axis_rotation, quat_from_rotation, skew, transform_velocity,
-                      transform_wrench)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BodyMatrices", "CartesianQuinticReference", "ConfigError", "ControllerGains",
-    "DisturbanceSpec", "ExperimentManifest", "FrameTransform", "GRAVITY",
-    "InertialParams", "Joint", "JointSineReference", "NalState", "Pose",
-    "ProjectionState", "RobotModel", "RunLog", "SimConfig", "SpatialVelocity",
-    "SpatialWrench", "StabilityDiagnostics", "StepSnapshot", "UnitQuaternion",
-    "VdcController", "assemble_matrices", "axis_rotation", "bregman_divergence",
-    "builtin_config_path", "clik_required_velocity", "coriolis_matrix",
-    "coriolis_matrix_original", "forward_dynamics", "forward_kinematics",
-    "geodesic_distance", "gravity_wrench", "inverse_dynamics", "is_consistent",
-    "jacobian", "joint_space_mass_matrix", "kinetic_energy", "load_manifest",
-    "load_robot", "load_sim", "mass_matrix", "nal_step", "nal_step_scalar",
-    "net_wrench", "orientation_error", "params_to_pseudo", "pose_error",
-    "projection_step", "pseudo_basis", "pseudo_to_params", "quat_from_rotation",
-    "quintic_trajectory", "regressor", "riemannian_metric", "rmse", "run_scenario",
-    "skew", "solve_dual", "stability_diagnostics", "transform_velocity",
-    "transform_wrench", "tuning_burden", "virtual_power_flow",
-]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import params_to_pseudo, pseudo_to_params
-from .rigid_body import InertialParams, inertia_to_vector
+from .manifold import bregman_divergence, params_to_pseudo, pseudo_to_params
+from .rigid_body import InertialParams
 
 
 def pseudo_basis() -> list[np.ndarray]:
@@ -188,33 +188,92 @@ def initial_link_estimate(phi: InertialParams, scale: float = 0.5) -> InertialPa
                           np.diag(np.diag(scale * phi.inertia)))
 
 
-# --- per-body adapter objects used by the controller -------------------------
+# --- adapters: the per-law objects the controller and the monitor use --------
 #
-# Each link adapter exposes phi_hat() -> 10-array and update(W, dv, dt); each
-# joint adapter exposes i_hat() -> float and update(w_a, dqd_err, dt).  The
-# controller treats them uniformly, so runs can mix laws or freeze parameters.
+# Every adapter, for a link or for a joint drive, has one method set:
+#
+#   phi_hat()        the estimate as a parameter vector: 10 entries for a
+#                    link, 1 (the drive inertia) for a drive;
+#   update(s, dt)    one sample of the law, given its input signal: the
+#                    controller forms s = W' (V_r - V) per link and
+#                    s = qddot_r (qdot_r - qdot) per drive;
+#   min_eig()        smallest eigenvalue of the estimate's pseudo-inertia
+#                    (a drive's 1x1 pseudo-inertia is the estimate itself);
+#   distance(truth)  the law's distance-to-truth term of the accompanying
+#                    function, weighted by the law's own gain; ``truth`` has
+#                    the shape phi_hat() has.
+#
+# So runs can mix laws or freeze parameters without the controller or the
+# monitor knowing which law a body uses.
 
 
-class FrozenLinkAdapter:
-    def __init__(self, phi: InertialParams):
-        self._phi = phi.as_vector()
-        self._L = params_to_pseudo(phi)
-        self._min_eig = float(np.linalg.eigvalsh(self._L)[0])
+def _min_eig(phi) -> float:
+    if phi.shape == (1,):
+        return float(phi[0])
+    return float(np.linalg.eigvalsh(params_to_pseudo(phi))[0])
+
+
+class FrozenAdapter:
+    """A constant estimate: the law with rate zero."""
+
+    def __init__(self, phi):
+        self._phi = np.asarray(phi, dtype=float)
+        self._min_eig = _min_eig(self._phi)
 
     def phi_hat(self) -> np.ndarray:
         return self._phi
 
-    def update(self, W, dv, dt):
+    def update(self, s, dt):
         pass
 
     def min_eig(self) -> float:
         return self._min_eig
 
-    def pseudo(self) -> np.ndarray:
-        return self._L
+    def distance(self, truth) -> float:
+        # the projection term's limit as the rates go to zero; the monitor
+        # passes the very array the estimate was built from, so `is` settles it
+        if truth is self._phi or np.array_equal(truth, self._phi):
+            return 0.0
+        return np.inf
+
+
+class ProjectionAdapter:
+    """Per-channel projection law, for a link's ten channels or a drive's one."""
+
+    def __init__(self, state: ProjectionState):
+        self.state = state
+
+    @classmethod
+    def around_truth(cls, truth, theta0, rho: float, bound_scale: float = 1.0,
+                     bound_floor: float = 0.01):
+        """Box of +-bound_scale*|truth_i| (at least the floor) around the truth;
+        ``theta0`` is clipped into it."""
+        truth = np.asarray(truth, dtype=float)
+        half = np.maximum(bound_scale * np.abs(truth), bound_floor)
+        theta0 = np.clip(np.asarray(theta0, dtype=float).reshape(truth.shape),
+                         truth - half, truth + half)
+        return cls(ProjectionState(theta0, np.full(truth.shape, rho),
+                                   truth - half, truth + half))
+
+    def phi_hat(self) -> np.ndarray:
+        return self.state.theta
+
+    def update(self, s, dt):
+        self.state = projection_step(self.state, s, dt)
+
+    def min_eig(self) -> float:
+        return _min_eig(self.state.theta)
+
+    def distance(self, truth) -> float:
+        err = self.state.theta - truth
+        if err.shape == (1,):   # a drive: scalar pow, which rounds unlike the array square
+            return 0.5 * float(err[0]) ** 2 / float(self.state.rho[0])
+        return 0.5 * float(np.sum(err ** 2 / self.state.rho))
 
 
 class NalLinkAdapter:
+    """Natural law on a link's pseudo-inertia."""
+
     def __init__(self, phi0: InertialParams, gamma: float, method: str = "geometric"):
         self.state = NalState.from_params(phi0, gamma)
         self.method = method
@@ -222,76 +281,35 @@ class NalLinkAdapter:
     def phi_hat(self) -> np.ndarray:
         return self.state.params().as_vector()
 
-    def update(self, W, dv, dt):
-        s = W.T @ dv
+    def update(self, s, dt):
         self.state = nal_step(self.state, s, dt, self.method)
 
     def min_eig(self) -> float:
         return self.state.min_eig()
 
-    def pseudo(self) -> np.ndarray:
-        return self.state.L
-
-
-class ProjectionLinkAdapter:
-    def __init__(self, state: ProjectionState):
-        self.state = state
-
-    @classmethod
-    def around_truth(cls, phi: InertialParams, theta0, rho: float,
-                     bound_scale: float = 1.0, bound_floor: float = 0.01):
-        """Box of +-bound_scale*|phi_i| (at least the floor) around the truth."""
-        truth = phi.as_vector()
-        half = np.maximum(bound_scale * np.abs(truth), bound_floor)
-        theta0 = np.asarray(theta0, dtype=float).reshape(10)
-        theta0 = np.clip(theta0, truth - half, truth + half)
-        return cls(ProjectionState(theta0, np.full(10, rho), truth - half, truth + half))
-
-    def phi_hat(self) -> np.ndarray:
-        return self.state.theta
-
-    def update(self, W, dv, dt):
-        s = W.T @ dv
-        self.state = projection_step(self.state, s, dt)
-
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(params_to_pseudo(self.state.theta))[0])
-
-    def pseudo(self) -> np.ndarray:
-        return params_to_pseudo(self.state.theta)
-
-
-class FrozenJointAdapter:
-    def __init__(self, i_m: float):
-        self._i = float(i_m)
-
-    def i_hat(self) -> float:
-        return self._i
-
-    def update(self, w_a, dqd_err, dt):
-        pass
+    def distance(self, truth) -> float:
+        """Log-det Bregman divergence of the estimate from the truth, over 2 gamma."""
+        return bregman_divergence(params_to_pseudo(truth), self.state.L) / (2.0 * self.state.gamma)
 
 
 class NalJointAdapter:
-    def __init__(self, i0: float, gamma_a: float):
-        self.l = float(i0)
-        self.gamma_a = float(gamma_a)
+    """Natural law on a drive inertia: the 1x1 case of the congruence step,
+    l+ = l exp(dt s l / gamma), in closed form."""
 
-    def i_hat(self) -> float:
-        return self.l
+    def __init__(self, i0: float, gamma: float):
+        self._l = np.array([float(i0)])
+        self.gamma = float(gamma)
 
-    def update(self, w_a, dqd_err, dt):
-        s_a = w_a * dqd_err
-        self.l = nal_step_scalar(self.l, s_a, self.gamma_a, dt)
+    def phi_hat(self) -> np.ndarray:
+        return self._l
 
+    def update(self, s, dt):
+        self._l = np.array([nal_step_scalar(self._l[0], s, self.gamma, dt)])
 
-class ProjectionJointAdapter:
-    def __init__(self, i0: float, rho: float, lower: float, upper: float):
-        self.state = ProjectionState(np.array([i0]), np.array([rho]),
-                                     np.array([lower]), np.array([upper]))
+    def min_eig(self) -> float:
+        return float(self._l[0])
 
-    def i_hat(self) -> float:
-        return float(self.state.theta[0])
-
-    def update(self, w_a, dqd_err, dt):
-        self.state = projection_step(self.state, np.array([w_a * dqd_err]), dt)
+    def distance(self, truth) -> float:
+        """The 1x1 Bregman divergence log(l/i) + i/l - 1, over 2 gamma."""
+        l_hat, i_m = self._l[0], truth[0]
+        return (np.log(l_hat / i_m) + i_m / l_hat - 1.0) / (2.0 * self.gamma)

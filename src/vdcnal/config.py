@@ -10,7 +10,7 @@ origin.  Loaders raise ConfigError with the file and the offending key;
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -128,26 +128,32 @@ def load_robot(path) -> RobotModel:
     return model
 
 
-def load_sim(path) -> SimConfig:
-    """Read a simulation settings file; unknown keys are rejected."""
-    path = pathlib.Path(path)
-    doc = _load_yaml(path)
-    known = {"scenario", "dt_s", "duration_s", "integrator", "adapter", "seed",
-             "repetitions", "transient_cutoff_s", "initial_q_rad",
-             "initial_q_perturb_rad", "joint_tracking_gain", "gains",
-             "disturbance", "trajectory", "adaptation"}
-    extra = set(doc) - known
+def _known_keys(spec, node, where: str) -> dict:
+    """``node`` as keyword arguments of dataclass ``spec``; other keys are rejected."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: must be a mapping")
+    extra = set(node) - {f.name for f in fields(spec)}
     if extra:
-        raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+    return node
 
-    gains = ControllerGains(**doc.get("gains", {}))
-    disturbance = DisturbanceSpec(**doc.get("disturbance", {}))
-    tnode = dict(doc.get("trajectory", {}))
+
+def load_sim(path) -> SimConfig:
+    """Read a simulation settings file; unknown keys are rejected at every level."""
+    path = pathlib.Path(path)
+    doc = _known_keys(SimConfig, _load_yaml(path), str(path))
+
+    def section(key, spec) -> dict:
+        return _known_keys(spec, doc.get(key, {}), f"{path}:{key}")
+
+    gains = ControllerGains(**section("gains", ControllerGains))
+    disturbance = DisturbanceSpec(**section("disturbance", DisturbanceSpec))
+    tnode = dict(section("trajectory", TrajectorySpec))
     for key in ("target_position_m", "target_euler_xyz_rad"):
         if key in tnode:
             tnode[key] = tuple(float(x) for x in tnode[key])
     trajectory = TrajectorySpec(**tnode)
-    adaptation = AdaptationSpec(**doc.get("adaptation", {}))
+    adaptation = AdaptationSpec(**section("adaptation", AdaptationSpec))
 
     cfg = SimConfig(
         scenario=doc.get("scenario", "exo-pose"),
@@ -173,7 +179,7 @@ def load_sim(path) -> SimConfig:
 
 @dataclass(frozen=True)
 class ExperimentManifest:
-    """Which robot, which settings, where the artifacts go."""
+    """Which robot, which settings, where the artifacts go; loaded once."""
 
     scenario: str
     robot_path: pathlib.Path
@@ -181,36 +187,37 @@ class ExperimentManifest:
     output_dir: pathlib.Path
     repetitions: int
     seed: int
+    model: RobotModel
+    cfg: SimConfig
 
     def load(self) -> tuple[RobotModel, SimConfig]:
-        model = load_robot(self.robot_path)
-        cfg = load_sim(self.sim_path)
-        # the manifest wins where it overlaps the sim file
-        cfg.scenario = self.scenario
-        cfg.repetitions = self.repetitions
-        cfg.seed = self.seed
-        problems = cfg.validate(model)
-        if problems:
-            raise ConfigError(f"{self.sim_path}: " + "; ".join(problems))
-        return model, cfg
+        """The robot and the sim settings, with the manifest's overrides applied."""
+        return self.model, self.cfg
 
 
 def load_manifest(path, output_override=None) -> ExperimentManifest:
-    """Read a run manifest; config paths resolve relative to the manifest."""
+    """Read a run manifest and the two files it names, each once.
+
+    Config paths resolve relative to the manifest; where the manifest and the
+    sim file overlap (scenario, repetitions, seed) the manifest wins.  Every
+    file is validated here, before any run starts.
+    """
     path = pathlib.Path(path)
     doc = _load_yaml(path)
     here = path.parent
     sim_path = resolve_config_path(str(_need(doc, "sim", str(path))), here)
-    sim_doc = _load_yaml(sim_path)
-    manifest = ExperimentManifest(
-        scenario=doc.get("scenario", sim_doc.get("scenario", "exo-pose")),
-        robot_path=resolve_config_path(str(_need(doc, "robot", str(path))), here),
-        sim_path=sim_path,
-        output_dir=pathlib.Path(output_override if output_override is not None
-                                else _need(doc, "output_dir", str(path))),
-        repetitions=int(doc.get("repetitions", sim_doc.get("repetitions", 1))),
-        seed=int(doc.get("seed", sim_doc.get("seed", 0))))
-    if manifest.repetitions < 1:
+    robot_path = resolve_config_path(str(_need(doc, "robot", str(path))), here)
+    output_dir = pathlib.Path(output_override if output_override is not None
+                              else _need(doc, "output_dir", str(path)))
+    cfg = load_sim(sim_path)
+    cfg.scenario = doc.get("scenario", cfg.scenario)
+    cfg.repetitions = int(doc.get("repetitions", cfg.repetitions))
+    cfg.seed = int(doc.get("seed", cfg.seed))
+    if cfg.repetitions < 1:
         raise ConfigError(f"{path}: repetitions must be at least 1")
-    manifest.load()        # existence + validation gate before any run starts
-    return manifest
+    model = load_robot(robot_path)
+    problems = cfg.validate(model)
+    if problems:
+        raise ConfigError(f"{sim_path}: " + "; ".join(problems))
+    return ExperimentManifest(cfg.scenario, robot_path, sim_path, output_dir,
+                              cfg.repetitions, cfg.seed, model, cfg)

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import (ChainPoses, Pose, RobotModel, chain_poses, clik_required_velocity,
-                         pose_error)
-from .manifold import bregman_divergence, params_to_pseudo
+                         jacobian, pose_error)
 from .rigid_body import assemble_matrices, net_wrench, regressor
 from .spatial import (axis_rotation, cross3, quat_from_rotation, transform_velocity_raw,
                       transform_wrench_raw)
@@ -189,9 +188,6 @@ class VdcController:
         self.joint_gain = gains.xi if joint_gain is None else float(joint_gain)
         self._prev_qdot_r = None
 
-    def reset(self):
-        self._prev_qdot_r = None
-
     def step(self, t: float, q, qdot) -> tuple[np.ndarray, StepSnapshot]:
         model = self.model
         g = self.gains
@@ -203,7 +199,7 @@ class VdcController:
 
         if self.mode == "task":
             pose_d, vel_d = self.reference.desired(t)
-            J = _jacobian_from_poses(model, poses)
+            J = jacobian(model, poses)
             qdot_r = clik_required_velocity(J, pose, pose_d, vel_d, g.xi, g.clik_damping)
             err = pose_error(pose, pose_d)
             chi_d = pose_d.as_vector()
@@ -232,27 +228,17 @@ class VdcController:
                                            g.k_b, vrb[i], vb[i])
         fr_b, fr_t = propagate_forces(model, q, net_r, np.zeros(6))
 
-        i_hats = [a.i_hat() for a in self.joint_adapters]
+        i_hats = [a.phi_hat()[0] for a in self.joint_adapters]
         tau, tau_star = joint_torques(model, i_hats, g.k_a, qddot_r, qdot_r, qdot, fr_b)
 
         for i in range(n):
-            self.link_adapters[i].update(regs[i], vrb[i] - vb[i], self.dt)
-            self.joint_adapters[i].update(qddot_r[i], qdot_r[i] - qdot[i], self.dt)
+            self.link_adapters[i].update(regs[i].T @ (vrb[i] - vb[i]), self.dt)
+            self.joint_adapters[i].update(qddot_r[i] * (qdot_r[i] - qdot[i]), self.dt)
         min_eigs = np.array([a.min_eig() for a in self.link_adapters])
 
         snap = StepSnapshot(t, poses, pose, chi, chi_d, err, qdot_r, qddot_r,
                             vb, vt, vrb, vrt, fr_b, fr_t, tau, tau_star, min_eigs)
         return tau, snap
-
-
-def _jacobian_from_poses(model: RobotModel, poses: ChainPoses) -> np.ndarray:
-    p_ee = poses.pt[-1]
-    J = np.zeros((6, model.n))
-    for i, joint in enumerate(model.joints):
-        axis_w = poses.Rb[i] @ joint.axis_unit
-        J[:3, i] = cross3(axis_w, p_ee - poses.pb[i])
-        J[3:, i] = axis_w
-    return J
 
 
 @dataclass(frozen=True)
@@ -267,9 +253,8 @@ class StabilityDiagnostics:
     min_eigs: np.ndarray       # (n,) of the link pseudo-inertia estimates
 
 
-def stability_diagnostics(model: RobotModel, gains: ControllerGains,
-                          snap: StepSnapshot, q, qdot, qddot, tip_wrench,
-                          link_adapters, joint_adapters) -> StabilityDiagnostics:
+def stability_diagnostics(model: RobotModel, snap: StepSnapshot, q, qdot, qddot,
+                          tip_wrench, link_adapters, joint_adapters) -> StabilityDiagnostics:
     """Measured-side force sweep plus the decrescent bookkeeping.
 
     Needs the actual joint accelerations and the true model, so it is a
@@ -294,11 +279,10 @@ def stability_diagnostics(model: RobotModel, gains: ControllerGains,
         dv = snap.vrb[i] - snap.vb[i]
         vpf[i] = virtual_power_flow(snap.vrb[i], snap.vb[i], snap.fr_b[i], fb[i])
         M = mats_list[i].M
-        nu_links[i] = 0.5 * float(dv @ (M @ dv)) + _link_distance_term(
-            joint.link, link_adapters[i], gains.gamma)
+        nu_links[i] = 0.5 * float(dv @ (M @ dv)) + link_adapters[i].distance(joint.link_phi)
         dqd = snap.qdot_r[i] - qdot[i]
-        nu_joints[i] = 0.5 * joint.motor_inertia * dqd ** 2 + _joint_distance_term(
-            joint.motor_inertia, joint_adapters[i], gains.gamma_a)
+        nu_joints[i] = (0.5 * joint.motor_inertia * dqd ** 2
+                        + joint_adapters[i].distance(joint.drive_phi))
 
     telescope = np.empty(max(n - 1, 0))
     for i in range(n - 1):
@@ -312,25 +296,3 @@ def stability_diagnostics(model: RobotModel, gains: ControllerGains,
     return StabilityDiagnostics(vpf, nu_links, nu_joints,
                                 float(np.sum(nu_links) + np.sum(nu_joints)),
                                 telescope, snap.min_eigs)
-
-
-def _link_distance_term(link, adapter, gamma: float) -> float:
-    # distance-to-truth part of the accompanying function; depends on the law
-    state = getattr(adapter, "state", None)
-    if state is None:                      # frozen: estimate equals truth
-        return 0.0
-    if hasattr(state, "L"):                # natural law: Bregman divergence
-        return bregman_divergence(params_to_pseudo(link), state.L) / (2.0 * gamma)
-    theta_err = state.theta - link.as_vector()
-    return 0.5 * float(np.sum(theta_err ** 2 / state.rho))
-
-
-def _joint_distance_term(i_m: float, adapter, gamma_a: float) -> float:
-    if hasattr(adapter, "l"):              # scalar natural law
-        l_hat = adapter.l
-        return (np.log(l_hat / i_m) + i_m / l_hat - 1.0) / (2.0 * gamma_a)
-    state = getattr(adapter, "state", None)
-    if state is None:
-        return 0.0
-    err = float(state.theta[0]) - i_m
-    return 0.5 * err ** 2 / float(state.rho[0])

@@ -14,12 +14,12 @@ quantities always use the true angular velocity, never Euler rates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .rigid_body import InertialParams
-from .spatial import (FrameTransform, UnitQuaternion, axis_rotation, axis_vector,
+from .spatial import (FrameTransform, UnitQuaternion, axis_rotation, axis_vector, cross3,
                       euler_xyz_rate_matrix, euler_xyz_to_rotation, quat_from_rotation,
                       rotation_to_euler_xyz, skew)
 
@@ -40,12 +40,20 @@ class Joint:
     tip: FrameTransform             # constant B_i -> T_i transform
     link: InertialParams            # link body, written in B_i
     limit: tuple[float, float] = (-np.pi, np.pi)
+    # the true parameters, shaped as a link adapter's (10,) and a drive
+    # adapter's (1,) estimate; read-only, built once
+    link_phi: np.ndarray = field(init=False, repr=False, compare=False)
+    drive_phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.axis not in _AXIS_SLOT:
             raise ValueError(f"joint {self.name!r}: axis must be one of x, y, z")
         if self.motor_inertia < 0.0:
             raise ValueError(f"joint {self.name!r}: motor inertia must be >= 0")
+        for name, phi in (("link_phi", self.link.as_vector()),
+                          ("drive_phi", np.array([float(self.motor_inertia)]))):
+            phi.setflags(write=False)
+            object.__setattr__(self, name, phi)
 
     @property
     def selector(self) -> np.ndarray:
@@ -152,14 +160,13 @@ def forward_kinematics(model: RobotModel, q) -> Pose:
     return Pose(poses.pt[-1], quat_from_rotation(poses.Rt[-1]))
 
 
-def jacobian(model: RobotModel, q) -> np.ndarray:
+def jacobian(model: RobotModel, poses: ChainPoses) -> np.ndarray:
     """Geometric Jacobian of the tip, world frame: [v, omega] = J @ qdot."""
-    poses = chain_poses(model, q)
     p_ee = poses.pt[-1]
     J = np.zeros((6, model.n))
     for i, joint in enumerate(model.joints):
         axis_w = poses.Rb[i] @ joint.axis_unit
-        J[:3, i] = np.cross(axis_w, p_ee - poses.pb[i])
+        J[:3, i] = cross3(axis_w, p_ee - poses.pb[i])
         J[3:, i] = axis_w
     return J
 

@@ -8,34 +8,29 @@ whose upper-left block is the second-moment (density covariance) matrix.
 phi is physically realizable by some mass distribution exactly when L is
 positive definite, so the set of consistent parameters is the SPD cone P(4).
 The adaptation law in :mod:`vdcnal.adaptation` moves estimates along this
-manifold; the distances below are the natural (affine-invariant) geodesic
-distance and the log-det Bregman divergence used by the stability argument.
+manifold, and its distance-to-truth term in the accompanying function is the
+log-det Bregman divergence below.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .rigid_body import InertialParams, inertia_to_vector
+from .rigid_body import InertialParams
 
 _CONSISTENCY_REL_TOL = 1e-12
 
 
-def _as_params(phi) -> InertialParams:
-    if isinstance(phi, InertialParams):
-        return phi
-    return InertialParams.from_vector(phi)
-
-
 def params_to_pseudo(phi) -> np.ndarray:
     """Map [m, h, vecI] (or InertialParams) to the 4x4 pseudo-inertia matrix."""
-    p = _as_params(phi)
-    sigma = 0.5 * np.trace(p.inertia) * np.eye(3) - p.inertia
-    L = np.zeros((4, 4))
-    L[:3, :3] = sigma
-    L[:3, 3] = p.first_moment
-    L[3, :3] = p.first_moment
-    L[3, 3] = p.mass
-    return L
+    if isinstance(phi, InertialParams):
+        phi = phi.as_vector()
+    m, hx, hy, hz, xx, yy, zz, xy, yz, xz = np.asarray(phi, dtype=float).reshape(10)
+    t = 0.5 * (xx + yy + zz)
+    o = 0.0 * t     # off-diagonal of 0.5 tr(I) I3: keeps the signs of zeros
+    return np.array([[t - xx, o - xy, o - xz, hx],
+                     [o - xy, t - yy, o - yz, hy],
+                     [o - xz, o - yz, t - zz, hz],
+                     [hx, hy, hz, m]])
 
 
 def pseudo_to_params(L) -> InertialParams:
@@ -48,12 +43,6 @@ def pseudo_to_params(L) -> InertialParams:
     sigma = 0.5 * (L[:3, :3] + L[:3, :3].T)
     inertia = np.trace(sigma) * np.eye(3) - sigma
     return InertialParams(L[3, 3], 0.5 * (L[:3, 3] + L[3, :3]), inertia)
-
-
-def pseudo_vector(L) -> np.ndarray:
-    """phi as a 10-array recovered from a pseudo-inertia matrix."""
-    p = pseudo_to_params(L)
-    return np.concatenate(([p.mass], p.first_moment, inertia_to_vector(p.inertia)))
 
 
 def is_consistent(phi) -> bool:
@@ -81,34 +70,3 @@ def bregman_divergence(L1, L2) -> float:
     _, ld1 = np.linalg.slogdet(L1)
     _, ld2 = np.linalg.slogdet(L2)
     return float(ld2 - ld1 + np.trace(np.linalg.solve(L2, L1)) - 4.0)
-
-
-def bregman_divergence_eigen(L1, L2) -> float:
-    """Same divergence via the eigenvalues of L2^-1 L1: sum(-log l + l - 1)."""
-    L1 = _check_spd(L1, "L1")
-    L2 = _check_spd(L2, "L2")
-    lam = np.real(np.linalg.eigvals(np.linalg.solve(L2, L1)))
-    return float(np.sum(-np.log(lam) + lam - 1.0))
-
-
-def _inv_sqrt(L) -> np.ndarray:
-    w, Q = np.linalg.eigh(L)
-    return Q @ np.diag(1.0 / np.sqrt(w)) @ Q.T
-
-
-def geodesic_distance(L1, L2) -> float:
-    """Affine-invariant geodesic distance on SPD(4): ||log(L1^-1/2 L2 L1^-1/2)||_F."""
-    L1 = _check_spd(L1, "L1")
-    L2 = _check_spd(L2, "L2")
-    S = _inv_sqrt(L1)
-    M = S @ L2 @ S
-    lam = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return float(np.sqrt(np.sum(np.log(lam) ** 2)))
-
-
-def riemannian_metric(P, F1, F2) -> float:
-    """Affine-invariant inner product at P: 0.5 tr(P^-1 F1 P^-1 F2)."""
-    P = _check_spd(P, "P")
-    A = np.linalg.solve(P, np.asarray(F1, dtype=float))
-    B = np.linalg.solve(P, np.asarray(F2, dtype=float))
-    return float(0.5 * np.trace(A @ B))

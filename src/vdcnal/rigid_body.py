@@ -14,12 +14,10 @@ Gravity is handled through the G term with g = [0, 0, 9.8] in the inertial
 frame; R_AI rotates inertial coordinates into the body frame.  The simulator
 and the controller both use this convention, so the sign cancels consistently.
 
-Two Coriolis assemblies are provided.  ``coriolis_matrix`` is the compact form
-whose lower-right block is ``skew(omega) @ I``; ``coriolis_matrix_original``
-keeps the center-of-mass inertia visible.  They differ as matrices but agree
-when applied to the velocity that generated them, so either yields the same
-net wrench (the difference matters for the passivity structure, not for the
-value).
+The Coriolis assembly here is the compact form, whose lower-right block is
+``skew(omega) @ I``.  The plant in :mod:`vdcnal.simulation` builds its own in
+the center-of-mass form; the two differ as matrices but agree when applied to
+the velocity that generated them, so either yields the same net wrench.
 """
 from __future__ import annotations
 
@@ -30,14 +28,6 @@ import numpy as np
 from .spatial import cross3, skew
 
 GRAVITY = np.array([0.0, 0.0, 9.8])
-
-# order of the six inertia slots in the 10-vector
-VECI_KEYS = ("xx", "yy", "zz", "xy", "yz", "xz")
-
-
-def inertia_from_vector(vecI) -> np.ndarray:
-    xx, yy, zz, xy, yz, xz = np.asarray(vecI, dtype=float)
-    return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
 def inertia_to_vector(I) -> np.ndarray:
@@ -85,11 +75,6 @@ class InertialParams:
         return np.concatenate(([self.mass], self.first_moment,
                                inertia_to_vector(self.inertia)))
 
-    @classmethod
-    def from_vector(cls, phi) -> "InertialParams":
-        phi = np.asarray(phi, dtype=float).reshape(10)
-        return cls(phi[0], phi[1:4], inertia_from_vector(phi[4:]))
-
 
 def mass_matrix(params: InertialParams) -> np.ndarray:
     """6x6 spatial mass matrix [[m I, -skew(h)], [skew(h), I_bar]]."""
@@ -111,27 +96,6 @@ def coriolis_matrix(params: InertialParams, omega) -> np.ndarray:
     C[:3, 3:] = -wx @ hx
     C[3:, :3] = hx @ wx
     C[3:, 3:] = wx @ params.inertia
-    return C
-
-
-def coriolis_matrix_original(params: InertialParams, omega) -> np.ndarray:
-    """Coriolis assembly in terms of the center-of-mass inertia.
-
-    The lower-right block reads skew(w) I_A + I_A skew(w) - m rx wx rx with
-    I_A the inertia about the center of mass (rotated to the frame axes).
-    Differs from :func:`coriolis_matrix` as a matrix, yet produces the same
-    product against the velocity [v, omega] that generated it.
-    """
-    m = params.mass
-    wx = skew(omega)
-    rx = skew(params.com)
-    hx = skew(params.first_moment)
-    I_com = params.inertia + m * (rx @ rx)   # undo the frame-origin shift
-    C = np.zeros((6, 6))
-    C[:3, :3] = m * wx
-    C[:3, 3:] = -wx @ hx
-    C[3:, :3] = hx @ wx
-    C[3:, 3:] = wx @ I_com + I_com @ wx - m * rx @ wx @ rx
     return C
 
 

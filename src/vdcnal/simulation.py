@@ -27,15 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptation import (FrozenJointAdapter, FrozenLinkAdapter, NalJointAdapter,
-                         NalLinkAdapter, ProjectionJointAdapter, ProjectionLinkAdapter,
+from .adaptation import (FrozenAdapter, NalJointAdapter, NalLinkAdapter, ProjectionAdapter,
                          initial_link_estimate)
 from .controller import (ControllerGains, StabilityDiagnostics, VdcController,
                          stability_diagnostics)
 from .kinematics import (CartesianQuinticReference, JointSineReference, RobotModel,
                          forward_kinematics)
 from .rigid_body import mass_matrix
-from .spatial import SpatialWrench, axis_rotation, skew
+from .spatial import axis_rotation, skew
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
@@ -46,8 +45,6 @@ _SKEW_BASIS = np.array([skew(e).ravel() for e in np.eye(3)])
 def _as_world_wrench(f_ext) -> np.ndarray | None:
     if f_ext is None:
         return None
-    if isinstance(f_ext, SpatialWrench):
-        return f_ext.as_array()
     f_ext = np.asarray(f_ext, dtype=float)
     if f_ext.shape == (3,):                 # pure force
         return np.concatenate((f_ext, np.zeros(3)))
@@ -181,19 +178,6 @@ def forward_dynamics(model: RobotModel, q, qdot, tau, f_ext=None) -> np.ndarray:
     """
     bias, M = _newton_euler(model, q, qdot, f_ext=f_ext)
     return np.linalg.solve(M, np.asarray(tau, dtype=float) - bias)
-
-
-def kinetic_energy(model: RobotModel, q, qdot) -> float:
-    qdot = np.asarray(qdot, dtype=float)
-    return 0.5 * float(qdot @ (joint_space_mass_matrix(model, q) @ qdot))
-
-
-def step_semi_implicit(model: RobotModel, q, qdot, tau, dt, wrench_fn=None, t=0.0):
-    """Symplectic Euler: update velocity with qddot(t), then position."""
-    f = wrench_fn(t) if wrench_fn else None
-    qddot = forward_dynamics(model, q, qdot, tau, f)
-    qdot_new = qdot + dt * qddot
-    return q + dt * qdot_new, qdot_new, qddot
 
 
 def step_rk4(model: RobotModel, q, qdot, tau, dt, wrench_fn=None, t=0.0, qddot=None):
@@ -334,42 +318,29 @@ def orientation_angle_deg(e_o) -> np.ndarray:
     return np.degrees(2.0 * np.arcsin(norms))
 
 
-def make_link_adapters(model: RobotModel, kind: str, gains: ControllerGains,
-                       spec: AdaptationSpec):
-    adapters = []
+def make_adapters(model: RobotModel, kind: str, gains: ControllerGains,
+                  spec: AdaptationSpec):
+    """(link adapters, drive adapters) of one law for every joint of ``model``."""
+    if kind not in ("nal", "projection", "none"):
+        raise ValueError(f"unknown adapter kind {kind!r}")
+    links, drives = [], []
     for joint in model.joints:
         guess = initial_link_estimate(joint.link, spec.initial_scale)
-        if kind == "nal":
-            adapters.append(NalLinkAdapter(guess, gains.gamma, spec.nal_integrator))
-        elif kind == "projection":
-            adapters.append(ProjectionLinkAdapter.around_truth(
-                joint.link, guess.as_vector(), spec.projection_rho,
-                spec.projection_bound_scale, spec.projection_bound_floor))
-        elif kind == "none":
-            adapters.append(FrozenLinkAdapter(joint.link))
-        else:
-            raise ValueError(f"unknown adapter kind {kind!r}")
-    return adapters
-
-
-def make_joint_adapters(model: RobotModel, kind: str, gains: ControllerGains,
-                        spec: AdaptationSpec):
-    adapters = []
-    for joint in model.joints:
         i0 = spec.initial_scale * joint.motor_inertia
         if kind == "nal":
-            adapters.append(NalJointAdapter(max(i0, 1e-8), gains.gamma_a))
+            links.append(NalLinkAdapter(guess, gains.gamma, spec.nal_integrator))
+            drives.append(NalJointAdapter(max(i0, 1e-8), gains.gamma_a))
         elif kind == "projection":
-            half = max(spec.projection_bound_scale * joint.motor_inertia,
-                       1e-2 * spec.projection_bound_floor)
-            adapters.append(ProjectionJointAdapter(
-                i0, spec.projection_rho,
-                joint.motor_inertia - half, joint.motor_inertia + half))
-        elif kind == "none":
-            adapters.append(FrozenJointAdapter(joint.motor_inertia))
+            links.append(ProjectionAdapter.around_truth(
+                joint.link_phi, guess.as_vector(), spec.projection_rho,
+                spec.projection_bound_scale, spec.projection_bound_floor))
+            drives.append(ProjectionAdapter.around_truth(
+                joint.drive_phi, i0, spec.projection_rho,
+                spec.projection_bound_scale, 1e-2 * spec.projection_bound_floor))
         else:
-            raise ValueError(f"unknown adapter kind {kind!r}")
-    return adapters
+            links.append(FrozenAdapter(joint.link_phi))
+            drives.append(FrozenAdapter(joint.drive_phi))
+    return links, drives
 
 
 def initial_configuration(model: RobotModel, cfg: SimConfig, repetition: int) -> np.ndarray:
@@ -429,8 +400,7 @@ def run_scenario(model: RobotModel, cfg: SimConfig, repetition: int = 0,
     qdot = np.zeros(model.n)
 
     mode, reference = _build_reference(model, cfg, q0)
-    link_adapters = make_link_adapters(model, adapter, cfg.gains, cfg.adaptation)
-    joint_adapters = make_joint_adapters(model, adapter, cfg.gains, cfg.adaptation)
+    link_adapters, joint_adapters = make_adapters(model, adapter, cfg.gains, cfg.adaptation)
     controller = VdcController(model, cfg.gains, reference, link_adapters,
                                joint_adapters, mode=mode, dt=dt,
                                joint_gain=cfg.joint_tracking_gain)
@@ -445,8 +415,8 @@ def run_scenario(model: RobotModel, cfg: SimConfig, repetition: int = 0,
             wrench = cfg.disturbance.wrench(t)
             qddot = forward_dynamics(model, q, qdot, tau, wrench)
             tip_wrench = _transmitted_tip_wrench(snap, wrench)
-            diag = stability_diagnostics(model, cfg.gains, snap, q, qdot, qddot,
-                                         tip_wrench, link_adapters, joint_adapters)
+            diag = stability_diagnostics(model, snap, q, qdot, qddot, tip_wrench,
+                                         link_adapters, joint_adapters)
         except np.linalg.LinAlgError as exc:
             # a blown-up adapter state hits the eigensolver before the state
             # check below can notice; report it as the same divergence

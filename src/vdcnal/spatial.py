@@ -1,6 +1,7 @@
-"""Spatial (6D) vector algebra: velocities, wrenches, frame transforms, rotations.
+"""Spatial (6D) vector algebra: frame transforms, rotations, quaternions.
 
-Conventions used throughout the library:
+Spatial velocities and wrenches are plain 6-arrays; the conventions used
+throughout the library are:
 
 * a spatial velocity stacks the linear part on top of the angular part,
   ``V = [v, omega]``, both expressed in the frame the quantity belongs to;
@@ -114,63 +115,11 @@ def _check_rotation(R) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpatialVelocity:
-    """Linear/angular velocity pair expressed in a single frame."""
-
-    v: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", _freeze(self.v))
-        object.__setattr__(self, "omega", _freeze(self.omega))
-        if self.v.shape != (3,) or self.omega.shape != (3,):
-            raise ValueError("SpatialVelocity parts must be 3-vectors")
-
-    @classmethod
-    def zero(cls) -> "SpatialVelocity":
-        return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_array(cls, a) -> "SpatialVelocity":
-        a = np.asarray(a, dtype=float).reshape(6)
-        return cls(a[:3], a[3:])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate((self.v, self.omega))
-
-
-@dataclass(frozen=True)
-class SpatialWrench:
-    """Force/moment pair expressed in a single frame."""
-
-    f: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", _freeze(self.f))
-        object.__setattr__(self, "m", _freeze(self.m))
-        if self.f.shape != (3,) or self.m.shape != (3,):
-            raise ValueError("SpatialWrench parts must be 3-vectors")
-
-    @classmethod
-    def zero(cls) -> "SpatialWrench":
-        return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_array(cls, a) -> "SpatialWrench":
-        a = np.asarray(a, dtype=float).reshape(6)
-        return cls(a[:3], a[3:])
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate((self.f, self.m))
-
-
-@dataclass(frozen=True)
 class FrameTransform:
     """Pose of a frame B measured in a frame A: rotation ``R`` and offset ``r``.
 
-    Stores the (R, r) pair rather than the 6x6 matrix; :meth:`matrix6`
-    materializes the latter on demand.
+    Stores the (R, r) pair rather than the module's 6x6 matrix U; the
+    ``transform_*_raw`` functions apply U and U' from the pair.
     """
 
     R: np.ndarray
@@ -181,24 +130,6 @@ class FrameTransform:
         object.__setattr__(self, "r", _freeze(self.r))
         if self.r.shape != (3,):
             raise ValueError("offset must be a 3-vector")
-
-    @classmethod
-    def identity(cls) -> "FrameTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def matrix6(self) -> np.ndarray:
-        U = np.zeros((6, 6))
-        U[:3, :3] = self.R
-        U[3:, :3] = skew(self.r) @ self.R
-        U[3:, 3:] = self.R
-        return U
-
-    def compose(self, other: "FrameTransform") -> "FrameTransform":
-        """A_U_B.compose(B_U_C) -> A_U_C."""
-        return FrameTransform(self.R @ other.R, self.r + self.R @ other.r)
-
-    def inverse(self) -> "FrameTransform":
-        return FrameTransform(self.R.T, -(self.R.T @ self.r))
 
 
 def transform_velocity_raw(R, r, va) -> np.ndarray:
@@ -217,16 +148,6 @@ def transform_wrench_raw(R, r, fb) -> np.ndarray:
     out[:3] = fa
     out[3:] = cross3(r, fa) + R @ fb[3:]
     return out
-
-
-def transform_velocity(U: FrameTransform, V_A: SpatialVelocity) -> SpatialVelocity:
-    """Express a spatial velocity known in frame A in frame B (pose of B in A is U)."""
-    return SpatialVelocity.from_array(transform_velocity_raw(U.R, U.r, V_A.as_array()))
-
-
-def transform_wrench(U: FrameTransform, F_B: SpatialWrench) -> SpatialWrench:
-    """Express a spatial wrench known in frame B in frame A (pose of B in A is U)."""
-    return SpatialWrench.from_array(transform_wrench_raw(U.R, U.r, F_B.as_array()))
 
 
 @dataclass(frozen=True)
@@ -248,10 +169,6 @@ class UnitQuaternion:
         n = np.sqrt(self.w ** 2 + float(self.vec @ self.vec))
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"quaternion is not unit norm (|q| = {n:.12g})")
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(1.0, np.zeros(3))
 
     def sign_normalized(self) -> "UnitQuaternion":
         q = np.concatenate(([self.w], self.vec))
@@ -310,11 +227,3 @@ def quat_from_rotation(R) -> UnitQuaternion:
                       s / 4.0])
     q = q / np.linalg.norm(q)
     return UnitQuaternion(q[0], q[1:]).sign_normalized()
-
-
-def rotation_from_quat(q: UnitQuaternion) -> np.ndarray:
-    return q.rotation()
-
-
-def quat_from_euler_xyz(alpha: float, beta: float, delta: float) -> UnitQuaternion:
-    return quat_from_rotation(euler_xyz_to_rotation(alpha, beta, delta))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import pendulum_accel, random_consistent_params, random_rotation
+from oracles import bregman_divergence_eigen, coriolis_matrix_original, geodesic_distance
 from vdcnal.adaptation import (
     NalState,
     initial_link_estimate,
@@ -28,8 +29,6 @@ from vdcnal.controller import (
 from vdcnal.kinematics import CartesianQuinticReference, chain_poses, forward_kinematics
 from vdcnal.manifold import (
     bregman_divergence,
-    bregman_divergence_eigen,
-    geodesic_distance,
     is_consistent,
     params_to_pseudo,
     pseudo_to_params,
@@ -37,15 +36,13 @@ from vdcnal.manifold import (
 from vdcnal.rigid_body import (
     assemble_matrices,
     coriolis_matrix,
-    coriolis_matrix_original,
     net_wrench,
     regressor,
 )
 from vdcnal.simulation import (
     forward_dynamics,
     inverse_dynamics,
-    make_joint_adapters,
-    make_link_adapters,
+    make_adapters,
     run_scenario,
     step_rk4,
     tuning_burden,
@@ -192,8 +189,7 @@ def _stability_rollout(model, qdot0):
     chif = np.concatenate((cfg.trajectory.target_position_m,
                            cfg.trajectory.target_euler_xyz_rad))
     reference = CartesianQuinticReference(chi0, chif, cfg.trajectory.duration_s)
-    links = make_link_adapters(model, "none", cfg.gains, cfg.adaptation)
-    joints = make_joint_adapters(model, "none", cfg.gains, cfg.adaptation)
+    links, joints = make_adapters(model, "none", cfg.gains, cfg.adaptation)
     controller = VdcController(model, cfg.gains, reference, links, joints,
                                mode="task", dt=dt)
     nu = np.empty(n_ticks)
@@ -201,8 +197,8 @@ def _stability_rollout(model, qdot0):
     for k in range(n_ticks):
         tau, snap = controller.step(k * dt, q, qdot)
         qddot = forward_dynamics(model, q, qdot, tau)
-        diag = stability_diagnostics(model, cfg.gains, snap, q, qdot, qddot,
-                                     np.zeros(6), links, joints)
+        diag = stability_diagnostics(model, snap, q, qdot, qddot, np.zeros(6),
+                                     links, joints)
         nu[k] = diag.nu_total
         telescope[k] = np.max(np.abs(diag.telescope))
         q, qdot, _ = step_rk4(model, q, qdot, tau, dt, qddot=qddot)

@@ -4,13 +4,11 @@ import pytest
 
 from conftest import random_consistent_params
 from vdcnal.adaptation import (
-    FrozenJointAdapter,
-    FrozenLinkAdapter,
+    FrozenAdapter,
     NalJointAdapter,
     NalLinkAdapter,
     NalState,
-    ProjectionJointAdapter,
-    ProjectionLinkAdapter,
+    ProjectionAdapter,
     ProjectionState,
     initial_link_estimate,
     nal_step,
@@ -218,42 +216,77 @@ def test_link_adapter_wrappers_match_laws():
     W = rng.standard_normal((6, 10))
     dv = rng.standard_normal(6)
     dt = 1e-3
+    s = W.T @ dv
 
     nal = NalLinkAdapter(phi0, gamma=10.0)
-    by_hand = nal_step(NalState.from_params(phi0, 10.0), W.T @ dv, dt, "geometric")
-    nal.update(W, dv, dt)
-    assert np.allclose(nal.pseudo(), by_hand.L, atol=1e-14)
+    by_hand = nal_step(NalState.from_params(phi0, 10.0), s, dt, "geometric")
+    nal.update(s, dt)
+    assert np.allclose(nal.state.L, by_hand.L, atol=1e-14)
     assert nal.min_eig() > 0.0
 
-    frozen = FrozenLinkAdapter(phi0)
+    frozen = FrozenAdapter(phi0.as_vector())
     before = frozen.phi_hat().copy()
-    frozen.update(W, dv, dt)
+    frozen.update(s, dt)
     assert np.array_equal(frozen.phi_hat(), before)
 
-    proj = ProjectionLinkAdapter.around_truth(phi0, 0.5 * phi0.as_vector(), rho=10.0)
-    assert np.all(proj.state.lower <= phi0.as_vector())
-    assert np.all(phi0.as_vector() <= proj.state.upper)
-    by_hand_p = projection_step(proj.state, W.T @ dv, dt)
-    proj2 = ProjectionLinkAdapter.around_truth(phi0, 0.5 * phi0.as_vector(), rho=10.0)
-    proj2.update(W, dv, dt)
+    truth = phi0.as_vector()
+    proj = ProjectionAdapter.around_truth(truth, 0.5 * truth, rho=10.0)
+    assert np.all(proj.state.lower <= truth)
+    assert np.all(truth <= proj.state.upper)
+    by_hand_p = projection_step(proj.state, s, dt)
+    proj2 = ProjectionAdapter.around_truth(truth, 0.5 * truth, rho=10.0)
+    proj2.update(s, dt)
     assert np.allclose(proj2.phi_hat(), by_hand_p.theta, atol=0.0)
 
 
 def test_joint_adapter_wrappers_match_laws():
     dt, w_a, err = 1e-3, 2.0, 0.3
 
-    nal = NalJointAdapter(i0=0.05, gamma_a=10.0)
+    nal = NalJointAdapter(0.05, gamma=10.0)
     expected = nal_step_scalar(0.05, w_a * err, 10.0, dt)
-    nal.update(w_a, err, dt)
-    assert nal.i_hat() == pytest.approx(expected, abs=0.0)
+    nal.update(w_a * err, dt)
+    assert nal.phi_hat()[0] == pytest.approx(expected, abs=0.0)
 
-    frozen = FrozenJointAdapter(0.02)
-    frozen.update(w_a, err, dt)
-    assert frozen.i_hat() == 0.02
+    frozen = FrozenAdapter([0.02])
+    frozen.update(w_a * err, dt)
+    assert frozen.phi_hat()[0] == 0.02
 
-    proj = ProjectionJointAdapter(i0=0.05, rho=10.0, lower=0.01, upper=0.1)
-    proj.update(w_a, err, dt)
-    assert proj.i_hat() == pytest.approx(0.05 + dt * 10.0 * w_a * err, abs=1e-15)
+    proj = ProjectionAdapter(ProjectionState([0.05], [10.0], [0.01], [0.1]))
+    proj.update(w_a * err, dt)
+    assert proj.phi_hat()[0] == pytest.approx(0.05 + dt * 10.0 * w_a * err, abs=1e-15)
     for _ in range(100):
-        proj.update(w_a, err, dt)
-    assert proj.i_hat() <= 0.1
+        proj.update(w_a * err, dt)
+    assert proj.phi_hat()[0] <= 0.1
+
+
+@pytest.mark.parametrize("body", ["link", "drive"])
+@pytest.mark.parametrize("law", ["frozen", "nal", "projection"])
+def test_adapter_protocol(law, body):
+    # one method set for every law and body: update(s, dt) is the law's
+    # functional form bit for bit, and distance(truth) vanishes at the truth
+    rng = np.random.default_rng(38)
+    dt, gamma = 1e-3, 10.0
+    if body == "link":
+        params = random_consistent_params(rng)
+        truth, s = params.as_vector(), rng.standard_normal(10)
+    else:
+        truth, s = np.array([0.05]), 0.7
+    if law == "frozen":
+        adapter, expected = FrozenAdapter(truth), truth
+    elif law == "nal" and body == "link":
+        adapter = NalLinkAdapter(params, gamma)
+        expected = nal_step(NalState.from_params(params, gamma), s, dt).params().as_vector()
+    elif law == "nal":
+        adapter = NalJointAdapter(truth[0], gamma)
+        expected = [nal_step_scalar(truth[0], s, gamma, dt)]
+    else:
+        state = ProjectionState(truth, np.full(truth.shape, 10.0), truth - 1.0, truth + 1.0)
+        adapter, expected = ProjectionAdapter(state), projection_step(state, s, dt).theta
+
+    assert adapter.phi_hat().shape == truth.shape
+    assert adapter.distance(truth) == pytest.approx(0.0, abs=1e-12)
+    assert adapter.distance(1.1 * truth) > 0.0
+    assert adapter.min_eig() > 0.0
+    adapter.update(s, dt)
+    assert np.array_equal(adapter.phi_hat(), expected)
+    assert adapter.distance(adapter.phi_hat()) == pytest.approx(0.0, abs=1e-12)

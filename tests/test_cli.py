@@ -66,6 +66,30 @@ def test_validate_rejects_zero_gain(tmp_path, capsys):
     assert "k_b must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["gains", "disturbance", "trajectory", "adaptation"])
+def test_validate_rejects_unknown_nested_key(tmp_path, capsys, section):
+    path = tmp_path / "sim.yaml"
+    path.write_text(f"scenario: exo-pose\n{section}:\n  bogus: 1\n")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL" in err and f"{section}: unknown keys ['bogus']" in err
+    assert "Traceback" not in err
+
+
+def test_run_parses_each_config_once(tmp_path, monkeypatch):
+    import vdcnal.config as config
+    calls = {"load_robot": 0, "load_sim": 0}
+    for name in calls:
+        def counted(*args, _load=getattr(config, name), _name=name):
+            calls[_name] += 1
+            return _load(*args)
+        monkeypatch.setattr(config, name, counted)
+    sim = _short_sim(tmp_path, "rrr_compare", 0.01)
+    man = _manifest(tmp_path, "rrr-compare", "rrr3.yaml", sim, reps=1, seed=7)
+    assert main(["run", str(man)]) == 0
+    assert calls == {"load_robot": 1, "load_sim": 1}
+
+
 def test_validate_entry_point():
     # everything else drives main() in process; this checks the wiring
     proc = subprocess.run([sys.executable, "-m", "vdcnal", "validate", "arm7"],

@@ -122,6 +122,21 @@ def test_load_sim_rejects_unknown_keys(tmp_path):
         load_sim(path)
 
 
+@pytest.mark.parametrize("section", ["gains", "disturbance", "trajectory", "adaptation"])
+def test_load_sim_rejects_unknown_nested_keys(tmp_path, section):
+    path = tmp_path / "sim.yaml"
+    path.write_text(f"scenario: exo-pose\n{section}:\n  bogus: 1\n")
+    with pytest.raises(ConfigError, match=f"sim.yaml:{section}: unknown keys.*bogus"):
+        load_sim(path)
+
+
+def test_load_sim_rejects_non_mapping_section(tmp_path):
+    path = tmp_path / "sim.yaml"
+    path.write_text("scenario: exo-pose\ngains: 5\n")
+    with pytest.raises(ConfigError, match="sim.yaml:gains: must be a mapping"):
+        load_sim(path)
+
+
 def test_load_sim_rejects_bad_gain(tmp_path):
     path = tmp_path / "sim.yaml"
     path.write_text("scenario: exo-pose\ngains:\n  k_b: 0.0\n")

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from vdcnal.adaptation import (
-    FrozenJointAdapter,
-    FrozenLinkAdapter,
+    FrozenAdapter,
     NalJointAdapter,
     NalLinkAdapter,
     initial_link_estimate,
@@ -32,8 +31,8 @@ from vdcnal.simulation import forward_dynamics, inverse_dynamics
 
 
 def _frozen_adapters(model):
-    links = [FrozenLinkAdapter(j.link) for j in model.joints]
-    joints = [FrozenJointAdapter(j.motor_inertia) for j in model.joints]
+    links = [FrozenAdapter(j.link_phi) for j in model.joints]
+    joints = [FrozenAdapter(j.drive_phi) for j in model.joints]
     return links, joints
 
 
@@ -69,8 +68,9 @@ def test_tip_velocity_matches_jacobian(rrr3, arm7):
             q = rng.uniform(-1.2, 1.2, model.n)
             qdot = rng.standard_normal(model.n)
             _, vt, _, vrt = propagate_velocities(model, q, qdot, qdot)
-            tw = jacobian(model, q) @ qdot
-            Rt = chain_poses(model, q).Rt[-1]
+            poses = chain_poses(model, q)
+            tw = jacobian(model, poses) @ qdot
+            Rt = poses.Rt[-1]
             local = np.concatenate((Rt.T @ tw[:3], Rt.T @ tw[3:]))
             assert np.allclose(vt[-1], local, atol=1e-10)
             assert np.allclose(vrt[-1], local, atol=1e-10)
@@ -228,8 +228,7 @@ def test_stability_diagnostics_structure(arm7):
     ctl = VdcController(arm7, gains, ref, links, joints)
     tau, snap = ctl.step(0.0, q, qdot)
     qddot = forward_dynamics(arm7, q, qdot, tau)
-    diag = stability_diagnostics(arm7, gains, snap, q, qdot, qddot,
-                                 np.zeros(6), links, joints)
+    diag = stability_diagnostics(arm7, snap, q, qdot, qddot, np.zeros(6), links, joints)
 
     assert np.all(diag.nu_links >= 0.0)
     assert np.all(diag.nu_joints >= 0.0)
@@ -250,7 +249,7 @@ def test_stability_diagnostics_frozen_matched_state_is_zero(rrr3):
     ctl = VdcController(rrr3, gains, ref, links, joints)
     tau, snap = ctl.step(0.0, q, np.zeros(3))
     qddot = forward_dynamics(rrr3, q, np.zeros(3), tau)
-    diag = stability_diagnostics(rrr3, gains, snap, q, np.zeros(3), qddot,
-                                 np.zeros(6), links, joints)
+    diag = stability_diagnostics(rrr3, snap, q, np.zeros(3), qddot, np.zeros(6),
+                                 links, joints)
     assert diag.nu_total <= 1e-12
     assert np.max(np.abs(diag.vpf)) <= 1e-8

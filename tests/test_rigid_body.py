@@ -3,13 +3,12 @@ import numpy as np
 import pytest
 
 from conftest import random_consistent_params, random_rotation
+from oracles import coriolis_matrix_original
 from vdcnal.rigid_body import (
     InertialParams,
     assemble_matrices,
     coriolis_matrix,
-    coriolis_matrix_original,
     gravity_wrench,
-    inertia_from_vector,
     inertia_to_vector,
     mass_matrix,
     net_wrench,
@@ -112,20 +111,14 @@ def test_omega_dot_operator_identity():
 
 
 def test_inertia_vector_ordering():
-    vec = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # xx yy zz xy yz xz
-    inertia = inertia_from_vector(vec)
-    assert inertia[0, 0] == 1.0 and inertia[1, 1] == 2.0 and inertia[2, 2] == 3.0
-    assert inertia[0, 1] == inertia[1, 0] == 4.0
-    assert inertia[1, 2] == inertia[2, 1] == 5.0
-    assert inertia[0, 2] == inertia[2, 0] == 6.0
-    assert np.array_equal(inertia_to_vector(inertia), vec)
+    inertia = np.array([[1.0, 4.0, 6.0], [4.0, 2.0, 5.0], [6.0, 5.0, 3.0]])
+    # xx yy zz xy yz xz
+    assert np.array_equal(inertia_to_vector(inertia), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
 
 def test_params_vector_round_trip_and_com():
     rng = np.random.default_rng(16)
     params = random_consistent_params(rng)
-    back = InertialParams.from_vector(params.as_vector())
-    assert np.allclose(back.as_vector(), params.as_vector(), atol=0.0)
     assert np.allclose(params.com, params.first_moment / params.mass, atol=1e-15)
     vec = params.as_vector()
     assert vec[0] == params.mass

@@ -4,9 +4,10 @@ import pytest
 
 import vdcnal.simulation as simulation
 from conftest import pendulum_accel, zero_gravity_clone
+from oracles import coriolis_matrix_original
 from vdcnal.config import builtin_config_path, load_robot, load_sim
 from vdcnal.kinematics import chain_poses, jacobian
-from vdcnal.rigid_body import coriolis_matrix_original, gravity_wrench, mass_matrix
+from vdcnal.rigid_body import gravity_wrench, mass_matrix
 from vdcnal.spatial import axis_rotation, cross3, skew
 from vdcnal.simulation import (
     AdaptationSpec,
@@ -16,14 +17,11 @@ from vdcnal.simulation import (
     initial_configuration,
     inverse_dynamics,
     joint_space_mass_matrix,
-    kinetic_energy,
-    make_joint_adapters,
-    make_link_adapters,
+    make_adapters,
     orientation_angle_deg,
     rmse,
     run_scenario,
     step_rk4,
-    step_semi_implicit,
     summarize,
     tuning_burden,
 )
@@ -255,20 +253,24 @@ def test_external_wrench_coupling(arm7):
     delta = (forward_dynamics(arm7, q, qdot, tau, f_ext=F)
              - forward_dynamics(arm7, q, qdot, tau))
     pred = np.linalg.solve(joint_space_mass_matrix(arm7, q),
-                           jacobian(arm7, q).T @ F)
+                           jacobian(arm7, chain_poses(arm7, q)).T @ F)
     assert np.allclose(delta, pred, atol=1e-9)
+
+
+def _kinetic_energy(model, q, qdot) -> float:
+    return 0.5 * float(qdot @ (joint_space_mass_matrix(model, q) @ qdot))
 
 
 def test_energy_conservation_without_gravity(rrr3):
     model = zero_gravity_clone(rrr3)
     q = np.array([0.3, -0.5, 0.8])
     qdot = np.array([1.0, -0.7, 0.4])
-    e0 = kinetic_energy(model, q, qdot)
+    e0 = _kinetic_energy(model, q, qdot)
     dt = 1e-3
     worst = 0.0
     for k in range(10000):  # 10 s of torque-free motion
         q, qdot, _ = step_rk4(model, q, qdot, np.zeros(3), dt)
-        worst = max(worst, abs(kinetic_energy(model, q, qdot) - e0))
+        worst = max(worst, abs(_kinetic_energy(model, q, qdot) - e0))
     assert worst <= 1e-6 * e0
 
 
@@ -292,16 +294,23 @@ def test_rk4_observed_order(rrr3):
     assert order >= 3.5
 
 
-def test_semi_implicit_step_arithmetic(rrr3):
-    rng = np.random.default_rng(65)
-    q = rng.uniform(-0.5, 0.5, 3)
-    qdot = rng.standard_normal(3)
-    tau = rng.standard_normal(3)
-    dt = 1e-3
-    q1, qd1, qdd = step_semi_implicit(rrr3, q, qdot, tau, dt)
-    assert np.allclose(qdd, forward_dynamics(rrr3, q, qdot, tau), atol=0.0)
-    assert np.allclose(qd1, qdot + dt * qdd, atol=0.0)
-    assert np.allclose(q1, q + dt * qd1, atol=0.0)
+def test_run_scenario_semi_implicit_step(rrr3):
+    # the logged ticks follow symplectic Euler on the plant, bit for bit
+    cfg = load_sim(builtin_config_path("rrr_compare"))
+    assert cfg.integrator == "semi_implicit" and cfg.disturbance.kind == "none"
+    cfg.duration_s = 0.005
+    log = run_scenario(rrr3, cfg, repetition=0)
+    dt = cfg.dt_s
+
+    def block(prefix):
+        return log.data[:, [i for i, c in enumerate(log.columns) if c.startswith(prefix)]]
+
+    q, qdot, tau = block("q_"), block("qdot_"), block("tau_")
+    assert q.shape == (5, 3)
+    for k in range(4):
+        qddot = forward_dynamics(rrr3, q[k], qdot[k], tau[k])
+        assert np.array_equal(qdot[k + 1], qdot[k] + dt * qddot)
+        assert np.array_equal(q[k + 1], q[k] + dt * (qdot[k] + dt * qddot))
 
 
 def test_rmse_values():
@@ -378,24 +387,22 @@ def test_initial_configuration_repetition_semantics(arm7):
 def test_adapter_factories(arm7):
     gains = ControllerGains()
     spec = AdaptationSpec()
-    from vdcnal.adaptation import (FrozenLinkAdapter, NalLinkAdapter,
-                                   ProjectionLinkAdapter, NalJointAdapter)
-    links = make_link_adapters(arm7, "nal", gains, spec)
+    from vdcnal.adaptation import (FrozenAdapter, NalJointAdapter, NalLinkAdapter,
+                                   ProjectionAdapter)
+    links, joints = make_adapters(arm7, "nal", gains, spec)
     assert all(isinstance(a, NalLinkAdapter) for a in links)
     assert links[0].phi_hat()[0] == pytest.approx(0.5 * arm7.joints[0].link.mass)
-    links = make_link_adapters(arm7, "projection", gains, spec)
-    assert all(isinstance(a, ProjectionLinkAdapter) for a in links)
-    for a, j in zip(links, arm7.joints):
-        truth = j.link.as_vector()
-        assert np.all(a.state.lower <= truth) and np.all(truth <= a.state.upper)
-    links = make_link_adapters(arm7, "none", gains, spec)
-    assert all(isinstance(a, FrozenLinkAdapter) for a in links)
-    joints = make_joint_adapters(arm7, "nal", gains, spec)
     assert all(isinstance(a, NalJointAdapter) for a in joints)
+    links, joints = make_adapters(arm7, "projection", gains, spec)
+    assert all(isinstance(a, ProjectionAdapter) for a in links + joints)
+    for a, b, j in zip(links, joints, arm7.joints):
+        for adapter, truth in ((a, j.link.as_vector()), (b, [j.motor_inertia])):
+            assert np.all(adapter.state.lower <= truth) and np.all(truth <= adapter.state.upper)
+    links, joints = make_adapters(arm7, "none", gains, spec)
+    assert all(isinstance(a, FrozenAdapter) for a in links + joints)
+    assert [a.phi_hat()[0] for a in joints] == [j.motor_inertia for j in arm7.joints]
     with pytest.raises(ValueError, match="unknown adapter"):
-        make_link_adapters(arm7, "fancy", gains, spec)
-    with pytest.raises(ValueError, match="unknown adapter"):
-        make_joint_adapters(arm7, "fancy", gains, spec)
+        make_adapters(arm7, "fancy", gains, spec)
 
 
 def test_tuning_burden_counts(rrr3):

@@ -5,26 +5,34 @@ import pytest
 from conftest import random_rotation, random_transform
 from vdcnal.spatial import (
     FrameTransform,
-    SpatialVelocity,
-    SpatialWrench,
     UnitQuaternion,
     axis_rotation,
     axis_vector,
     cross3,
     euler_xyz_rate_matrix,
     euler_xyz_to_rotation,
-    quat_from_euler_xyz,
     quat_from_rotation,
     rot_x,
     rot_y,
     rot_z,
     rotation_to_euler_xyz,
     skew,
-    transform_velocity,
     transform_velocity_raw,
-    transform_wrench,
     transform_wrench_raw,
 )
+
+
+def _matrix6(U: FrameTransform) -> np.ndarray:
+    """The 6x6 U = [[R, 0], [skew(r) R, R]] of the module's convention."""
+    M = np.zeros((6, 6))
+    M[:3, :3] = U.R
+    M[3:, :3] = skew(U.r) @ U.R
+    M[3:, 3:] = U.R
+    return M
+
+
+def _inverse(U: FrameTransform) -> FrameTransform:
+    return FrameTransform(U.R.T, -(U.R.T @ U.r))
 
 
 def test_skew_matches_cross():
@@ -67,15 +75,13 @@ def test_transform_round_trips():
     rng = np.random.default_rng(2)
     for _ in range(200):
         U = random_transform(rng)
-        V = SpatialVelocity.from_array(rng.standard_normal(6))
-        F = SpatialWrench.from_array(rng.standard_normal(6))
-        V_back = transform_velocity(U.inverse(), transform_velocity(U, V))
-        F_back = transform_wrench(U.inverse(), transform_wrench(U, F))
-        assert np.allclose(V_back.as_array(), V.as_array(), atol=1e-12)
-        assert np.allclose(F_back.as_array(), F.as_array(), atol=1e-12)
-        ident = U.compose(U.inverse())
-        assert np.allclose(ident.R, np.eye(3), atol=1e-12)
-        assert np.allclose(ident.r, 0.0, atol=1e-12)
+        Ui = _inverse(U)
+        V = rng.standard_normal(6)
+        F = rng.standard_normal(6)
+        V_back = transform_velocity_raw(Ui.R, Ui.r, transform_velocity_raw(U.R, U.r, V))
+        F_back = transform_wrench_raw(Ui.R, Ui.r, transform_wrench_raw(U.R, U.r, F))
+        assert np.allclose(V_back, V, atol=1e-12)
+        assert np.allclose(F_back, F, atol=1e-12)
 
 
 def test_power_duality():
@@ -95,24 +101,29 @@ def test_matrix6_matches_transforms():
     rng = np.random.default_rng(4)
     for _ in range(200):
         U = random_transform(rng)
-        M = U.matrix6()
+        M = _matrix6(U)
         va = rng.standard_normal(6)
         fb = rng.standard_normal(6)
         assert np.allclose(M @ fb, transform_wrench_raw(U.R, U.r, fb), atol=1e-12)
         assert np.allclose(M.T @ va, transform_velocity_raw(U.R, U.r, va), atol=1e-12)
-        assert np.allclose(U.inverse().matrix6(), np.linalg.inv(M), atol=1e-12)
+        assert np.allclose(_matrix6(_inverse(U)), np.linalg.inv(M), atol=1e-12)
 
 
-def test_compose_associativity_and_matrix_product():
+def test_raw_transforms_compose_along_a_chain():
+    # A -> B -> C applied in turn equals the one transform of C's pose in A,
+    # which is what the base-to-tip and tip-to-base sweeps rely on
     rng = np.random.default_rng(5)
     for _ in range(200):
-        U1, U2, U3 = (random_transform(rng) for _ in range(3))
-        left = U1.compose(U2).compose(U3)
-        right = U1.compose(U2.compose(U3))
-        assert np.allclose(left.R, right.R, atol=1e-12)
-        assert np.allclose(left.r, right.r, atol=1e-12)
-        assert np.allclose(U1.compose(U2).matrix6(),
-                           U1.matrix6() @ U2.matrix6(), atol=1e-12)
+        U1, U2 = random_transform(rng), random_transform(rng)
+        R, r = U1.R @ U2.R, U1.r + U1.R @ U2.r
+        va = rng.standard_normal(6)
+        fc = rng.standard_normal(6)
+        assert np.allclose(transform_velocity_raw(U2.R, U2.r, transform_velocity_raw(
+            U1.R, U1.r, va)), transform_velocity_raw(R, r, va), atol=1e-12)
+        assert np.allclose(transform_wrench_raw(U1.R, U1.r, transform_wrench_raw(
+            U2.R, U2.r, fc)), transform_wrench_raw(R, r, fc), atol=1e-12)
+        assert np.allclose(_matrix6(FrameTransform(R, r)),
+                           _matrix6(U1) @ _matrix6(U2), atol=1e-12)
 
 
 def test_frame_transform_validation():
@@ -125,7 +136,7 @@ def test_frame_transform_validation():
 
 
 def test_quaternion_examples():
-    assert np.allclose(UnitQuaternion.identity().rotation(), np.eye(3), atol=0.0)
+    assert np.allclose(UnitQuaternion(1.0, np.zeros(3)).rotation(), np.eye(3), atol=0.0)
     q = quat_from_rotation(rot_z(np.pi))
     assert abs(q.w) <= 1e-12
     assert np.allclose(q.vec, [0.0, 0.0, 1.0], atol=1e-12)
@@ -168,17 +179,6 @@ def test_quaternion_validation():
         UnitQuaternion(1.0, np.zeros(2))
 
 
-def test_spatial_vector_basics():
-    v = SpatialVelocity.from_array([1, 2, 3, 4, 5, 6])
-    assert np.array_equal(v.as_array(), [1, 2, 3, 4, 5, 6])
-    assert np.array_equal(SpatialVelocity.zero().as_array(), np.zeros(6))
-    assert np.array_equal(SpatialWrench.zero().as_array(), np.zeros(6))
-    with pytest.raises(ValueError):
-        SpatialVelocity(np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        v.v[0] = 9.0  # frozen storage
-
-
 def test_euler_round_trip():
     rng = np.random.default_rng(8)
     for _ in range(500):
@@ -193,7 +193,7 @@ def test_euler_round_trip():
         R = random_rotation(rng)
         a, b, d = rotation_to_euler_xyz(R)
         assert np.allclose(euler_xyz_to_rotation(a, b, d), R, atol=1e-9)
-    q = quat_from_euler_xyz(0.3, -0.2, 0.9)
+    q = quat_from_rotation(euler_xyz_to_rotation(0.3, -0.2, 0.9))
     assert np.allclose(q.rotation(), euler_xyz_to_rotation(0.3, -0.2, 0.9),
                        atol=1e-12)
 
