@@ -22,123 +22,100 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import bregman_divergence, params_to_pseudo, pseudo_to_params
+from .manifold import bregman_divergence, params_to_pseudo, pseudo_to_vectors, spd_log_det
 from .rigid_body import InertialParams
 
 
 def pseudo_basis() -> list[np.ndarray]:
     """Images of the ten unit parameter vectors under the pseudo-inertia map."""
-    basis = []
-    for k in range(10):
-        e = np.zeros(10)
-        e[k] = 1.0
-        basis.append(params_to_pseudo(e))
-    return basis
+    return list(params_to_pseudo(np.eye(10)))
 
 
-def _sym_basis() -> list[np.ndarray]:
-    mats = []
-    for i in range(4):
-        E = np.zeros((4, 4))
-        E[i, i] = 1.0
-        mats.append(E)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            E = np.zeros((4, 4))
-            E[i, j] = E[j, i] = 1.0
-            mats.append(E)
-    return mats
-
-
-_PSEUDO_BASIS = pseudo_basis()
-_SYM_BASIS = _sym_basis()
-# constant 10x10 system: row k is tr(f(e_k) B_j) over the symmetric basis
-_DUAL_SYSTEM = np.array([[np.trace(E @ B) for B in _SYM_BASIS] for E in _PSEUDO_BASIS])
-_DUAL_SYSTEM_INV = np.linalg.inv(_DUAL_SYSTEM)
+# the pseudo-inertia map as a 16x10 matrix P, vec(L(phi)) = P phi, and the dual
+# solve as one constant map: vec(S) = _DUAL_MAP s lies in the range of P (so S
+# is symmetric) and satisfies P' vec(S) = s, that is tr(L(phi) S) = phi . s
+_PSEUDO_MAP = np.reshape(pseudo_basis(), (10, 16)).T
+_DUAL_MAP = _PSEUDO_MAP @ np.linalg.inv(_PSEUDO_MAP.T @ _PSEUDO_MAP)
 
 
 def solve_dual(s) -> np.ndarray:
     """Symmetric S with tr(L(phi) S) == phi . s for every parameter vector phi.
 
     The pseudo-inertia map is a linear bijection between R^10 and symmetric
-    4x4 matrices, so S exists and is unique; the constant system above is
-    factored once at import.
+    4x4 matrices, so S exists and is unique; the constant map above is built
+    once at import.  A (..., 10) stack of signals gives (..., 4, 4).
     """
-    s = np.asarray(s, dtype=float).reshape(10)
-    coeff = _DUAL_SYSTEM_INV @ s
-    S = np.zeros((4, 4))
-    for c, B in zip(coeff, _SYM_BASIS):
-        S += c * B
-    return S
+    s = np.asarray(s, dtype=float)
+    return (s @ _DUAL_MAP.T).reshape(s.shape[:-1] + (4, 4))
 
 
-def _sym_sqrt(L) -> np.ndarray:
-    w, Q = np.linalg.eigh(L)
-    if w[0] <= 0.0:
-        raise ValueError("pseudo-inertia lost positive definiteness")
-    return Q @ np.diag(np.sqrt(w)) @ Q.T
-
-
-def _sym_exp(A) -> np.ndarray:
-    w, Q = np.linalg.eigh(A)
-    return Q @ np.diag(np.exp(w)) @ Q.T
+def _congruence(Q, d) -> np.ndarray:
+    """Q diag(d) Q' over stacks."""
+    return (Q * d[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
 @dataclass(frozen=True)
 class NalState:
-    """Pseudo-inertia estimate plus the single adaptation gain."""
+    """Stacked pseudo-inertia estimates (n, 4, 4), their eigendecomposition
+    L = Q diag(w) Q' (w ascending), and the single adaptation gain."""
 
     L: np.ndarray
+    w: np.ndarray
+    Q: np.ndarray
     gamma: float
 
-    def __post_init__(self):
-        L = np.array(self.L, dtype=float)
-        if L.shape != (4, 4) or np.max(np.abs(L - L.T)) > 1e-9 * (1.0 + np.max(np.abs(L))):
+    @classmethod
+    def from_pseudo(cls, L, gamma: float) -> "NalState":
+        """Checked state from a (4, 4) matrix or an (n, 4, 4) stack."""
+        L = np.array(L, dtype=float)
+        L = L.reshape((-1,) + L.shape[-2:])
+        if L.shape[1:] != (4, 4) or np.max(np.abs(L - np.swapaxes(L, 1, 2))) > \
+                1e-9 * (1.0 + np.max(np.abs(L))):
             raise ValueError("NalState.L must be symmetric 4x4")
-        if self.gamma <= 0.0:
+        if not gamma > 0.0:
             raise ValueError("gamma must be positive")
-        L = 0.5 * (L + L.T)
-        L.setflags(write=False)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        L = 0.5 * (L + np.swapaxes(L, 1, 2))
+        return cls(L, *np.linalg.eigh(L), float(gamma))
 
     @classmethod
-    def from_params(cls, phi: InertialParams, gamma: float) -> "NalState":
-        return cls(params_to_pseudo(phi), gamma)
+    def from_params(cls, phi, gamma: float) -> "NalState":
+        """From InertialParams, a (10,) vector or an (n, 10) stack."""
+        return cls.from_pseudo(params_to_pseudo(phi), gamma)
 
-    def params(self) -> InertialParams:
-        return pseudo_to_params(self.L)
-
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.L)[0])
+    def min_eig(self) -> np.ndarray:
+        return self.w[:, 0]
 
 
 def nal_step(state: NalState, s, dt: float, method: str = "geometric") -> NalState:
-    """Advance the estimate by one sample of the natural law.
+    """Advance every estimate of the stack by one sample of the natural law.
 
-    ``geometric`` (default) is the congruence/exponential step, which keeps
-    L positive definite for any dt and s; ``euler`` is the plain first-order
-    step, retained as a cross-check.
+    ``s`` is the (n, 10) signal.  ``geometric`` (default) is the
+    congruence/exponential step, which keeps L positive definite for any dt
+    and s; it forms L^1/2 from the carried decomposition.  ``euler`` is the
+    plain first-order step, retained as a cross-check.  Either way the new L
+    is decomposed once, for the next step and for the readers of the state.
     """
     S = solve_dual(s)
-    L = state.L
     if method == "geometric":
-        H = _sym_sqrt(L)
+        if np.any(state.w[:, 0] <= 0.0):
+            raise ValueError("pseudo-inertia lost positive definiteness")
+        H = _congruence(state.Q, np.sqrt(state.w))
         A = (dt / state.gamma) * (H @ S @ H)
-        E = _sym_exp(0.5 * (A + A.T))
-        L_new = H @ E @ H
+        e, V = np.linalg.eigh(0.5 * (A + np.swapaxes(A, 1, 2)))
+        L_new = H @ _congruence(V, np.exp(e)) @ H
     elif method == "euler":
-        L_new = L + (dt / state.gamma) * (L @ S @ L)
+        L_new = state.L + (dt / state.gamma) * (state.L @ S @ state.L)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return NalState(0.5 * (L_new + L_new.T), state.gamma)
+    L_new = 0.5 * (L_new + np.swapaxes(L_new, 1, 2))
+    return NalState(L_new, *np.linalg.eigh(L_new), state.gamma)
 
 
-def nal_step_scalar(l: float, s: float, gamma: float, dt: float) -> float:
-    """One-parameter natural law: l+ = l exp(dt s l / gamma); l stays positive."""
-    if l <= 0.0:
+def nal_step_scalar(l, s, gamma: float, dt: float):
+    """One-parameter natural law, elementwise: l+ = l exp(dt s l / gamma); l stays positive."""
+    if np.any(np.asarray(l) <= 0.0):
         raise ValueError("scalar pseudo-inertia must be positive")
-    return float(l * np.exp(dt * s * l / gamma))
+    return l * np.exp(dt * s * l / gamma)
 
 
 @dataclass(frozen=True)
@@ -155,9 +132,8 @@ class ProjectionState:
             a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        n = self.theta.shape[0]
         for name in ("rho", "lower", "upper"):
-            if getattr(self, name).shape != (n,):
+            if getattr(self, name).shape != self.theta.shape:
                 raise ValueError("projection state arrays must share one length")
         if np.any(~np.isfinite(self.lower)) or np.any(~np.isfinite(self.upper)):
             raise ValueError("projection bounds must be finite")
@@ -190,55 +166,54 @@ def initial_link_estimate(phi: InertialParams, scale: float = 0.5) -> InertialPa
 
 # --- adapters: the per-law objects the controller and the monitor use --------
 #
-# Every adapter, for a link or for a joint drive, has one method set:
+# One adapter object runs one law for a whole chain: the n links, or the n
+# joint drives.  Every adapter has one method set, over stacks with one row
+# per body:
 #
-#   phi_hat()        the estimate as a parameter vector: 10 entries for a
-#                    link, 1 (the drive inertia) for a drive;
-#   update(s, dt)    one sample of the law, given its input signal: the
-#                    controller forms s = W' (V_r - V) per link and
-#                    s = qddot_r (qdot_r - qdot) per drive;
-#   min_eig()        smallest eigenvalue of the estimate's pseudo-inertia
-#                    (a drive's 1x1 pseudo-inertia is the estimate itself);
-#   distance(truth)  the law's distance-to-truth term of the accompanying
-#                    function, weighted by the law's own gain; ``truth`` has
-#                    the shape phi_hat() has.
+#   phi_hat()        the estimates as parameter vectors: (n, 10) for links,
+#                    (n, 1) (the drive inertias) for drives;
+#   update(S, dt)    one sample of the law, given its input signals, shaped
+#                    as phi_hat(): the controller forms S = W' (V_r - V) per
+#                    link and S = qddot_r (qdot_r - qdot) per drive;
+#   min_eig()        (n,) smallest eigenvalue of each estimate's
+#                    pseudo-inertia (a drive's 1x1 pseudo-inertia is the
+#                    estimate itself);
+#   distance(truth)  (n,) the law's distance-to-truth terms of the
+#                    accompanying function, weighted by the law's own gain;
+#                    ``truth`` has the shape phi_hat() has.
 #
 # So runs can mix laws or freeze parameters without the controller or the
 # monitor knowing which law a body uses.
 
 
-def _min_eig(phi) -> float:
-    if phi.shape == (1,):
-        return float(phi[0])
-    return float(np.linalg.eigvalsh(params_to_pseudo(phi))[0])
+def _min_eig(phi) -> np.ndarray:
+    pseudo = params_to_pseudo(phi) if phi.shape[1] == 10 else phi[:, :, None]
+    return np.linalg.eigvalsh(pseudo)[:, 0]
 
 
 class FrozenAdapter:
-    """A constant estimate: the law with rate zero."""
+    """Constant estimates: the law with rate zero."""
 
     def __init__(self, phi):
-        self._phi = np.asarray(phi, dtype=float)
+        self._phi = np.array(phi, dtype=float)
         self._min_eig = _min_eig(self._phi)
 
     def phi_hat(self) -> np.ndarray:
         return self._phi
 
-    def update(self, s, dt):
+    def update(self, S, dt):
         pass
 
-    def min_eig(self) -> float:
+    def min_eig(self) -> np.ndarray:
         return self._min_eig
 
-    def distance(self, truth) -> float:
-        # the projection term's limit as the rates go to zero; the monitor
-        # passes the very array the estimate was built from, so `is` settles it
-        if truth is self._phi or np.array_equal(truth, self._phi):
-            return 0.0
-        return np.inf
+    def distance(self, truth) -> np.ndarray:
+        # the projection term's limit as the rates go to zero
+        return np.where(np.all(truth == self._phi, axis=1), 0.0, np.inf)
 
 
 class ProjectionAdapter:
-    """Per-channel projection law, for a link's ten channels or a drive's one."""
+    """Per-channel projection law, on the links' ten channels or the drives' one."""
 
     def __init__(self, state: ProjectionState):
         self.state = state
@@ -258,58 +233,68 @@ class ProjectionAdapter:
     def phi_hat(self) -> np.ndarray:
         return self.state.theta
 
-    def update(self, s, dt):
-        self.state = projection_step(self.state, s, dt)
+    def update(self, S, dt):
+        self.state = projection_step(self.state, S, dt)
 
-    def min_eig(self) -> float:
+    def min_eig(self) -> np.ndarray:
         return _min_eig(self.state.theta)
 
-    def distance(self, truth) -> float:
-        err = self.state.theta - truth
-        if err.shape == (1,):   # a drive: scalar pow, which rounds unlike the array square
-            return 0.5 * float(err[0]) ** 2 / float(self.state.rho[0])
-        return 0.5 * float(np.sum(err ** 2 / self.state.rho))
+    def distance(self, truth) -> np.ndarray:
+        return 0.5 * np.sum((self.state.theta - truth) ** 2 / self.state.rho, axis=1)
 
 
 class NalLinkAdapter:
-    """Natural law on a link's pseudo-inertia."""
+    """Natural law on the links' pseudo-inertias, one stacked state."""
 
-    def __init__(self, phi0: InertialParams, gamma: float, method: str = "geometric"):
+    def __init__(self, phi0, gamma: float, method: str = "geometric", truth=None):
         self.state = NalState.from_params(phi0, gamma)
         self.method = method
+        self._truth = (None,)
+        if truth is not None:
+            self._truth_side(truth)
+
+    def _truth_side(self, truth):
+        """Pseudo-inertias of ``truth`` and their log determinants, kept for the
+        last truth array seen (held, and compared by ``is``)."""
+        if self._truth[0] is not truth:
+            L = params_to_pseudo(truth)
+            self._truth = (truth, L, spd_log_det(L, "true pseudo-inertia"))
+        return self._truth[1:]
 
     def phi_hat(self) -> np.ndarray:
-        return self.state.params().as_vector()
+        return pseudo_to_vectors(self.state.L)
 
-    def update(self, s, dt):
-        self.state = nal_step(self.state, s, dt, self.method)
+    def update(self, S, dt):
+        self.state = nal_step(self.state, S, dt, self.method)
 
-    def min_eig(self) -> float:
+    def min_eig(self) -> np.ndarray:
         return self.state.min_eig()
 
-    def distance(self, truth) -> float:
-        """Log-det Bregman divergence of the estimate from the truth, over 2 gamma."""
-        return bregman_divergence(params_to_pseudo(truth), self.state.L) / (2.0 * self.state.gamma)
+    def distance(self, truth) -> np.ndarray:
+        """Log-det Bregman divergences of the estimates from the truth, over 2 gamma."""
+        state = self.state
+        return bregman_divergence(*self._truth_side(truth), state.w, state.Q) / (2.0 * state.gamma)
 
 
 class NalJointAdapter:
-    """Natural law on a drive inertia: the 1x1 case of the congruence step,
+    """Natural law on the drive inertias: the 1x1 case of the congruence step,
     l+ = l exp(dt s l / gamma), in closed form."""
 
-    def __init__(self, i0: float, gamma: float):
-        self._l = np.array([float(i0)])
+    def __init__(self, i0, gamma: float):
+        self._l = np.array(i0, dtype=float).reshape(-1, 1)
         self.gamma = float(gamma)
 
     def phi_hat(self) -> np.ndarray:
         return self._l
 
-    def update(self, s, dt):
-        self._l = np.array([nal_step_scalar(self._l[0], s, self.gamma, dt)])
+    def update(self, S, dt):
+        self._l = nal_step_scalar(self._l, S, self.gamma, dt)
 
-    def min_eig(self) -> float:
-        return float(self._l[0])
+    def min_eig(self) -> np.ndarray:
+        return self._l[:, 0]
 
-    def distance(self, truth) -> float:
-        """The 1x1 Bregman divergence log(l/i) + i/l - 1, over 2 gamma."""
-        l_hat, i_m = self._l[0], truth[0]
+    def distance(self, truth) -> np.ndarray:
+        """The 1x1 Bregman divergences log(l/i) + i/l - 1, over 2 gamma."""
+        l_hat = self._l[:, 0]
+        i_m = truth[:, 0]
         return (np.log(l_hat / i_m) + i_m / l_hat - 1.0) / (2.0 * self.gamma)

@@ -234,7 +234,8 @@ def cmd_report(log_paths) -> int:
             print(f"{name}: FAIL {exc}", file=sys.stderr)
             failures += 1
             continue
-        stats = {k: v for k, v in recomputed.items() if isinstance(v, float)}
+        stats = {k: v for k, v in recomputed.items()
+                 if isinstance(v, float) or k.startswith("ticks_")}
         line = ", ".join(f"{k} {v:.12g}" for k, v in sorted(stats.items()))
         print(f"{name}: {line}")
 
@@ -259,7 +260,8 @@ def cmd_report(log_paths) -> int:
             if key not in stored:
                 print(f"{name}: FAIL stored summary lacks {key!r}", file=sys.stderr)
                 failures += 1
-            elif not _close(value, float(stored[key])):
+            elif not (_close(value, float(stored[key])) if isinstance(value, float)
+                      else value == stored[key]):     # counts compare exactly
                 print(f"{name}: MISMATCH {key}: recomputed {value:.12g} vs "
                       f"stored {float(stored[key]):.12g}", file=sys.stderr)
                 failures += 1

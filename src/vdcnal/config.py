@@ -144,7 +144,14 @@ def load_sim(path) -> SimConfig:
     doc = _known_keys(SimConfig, _load_yaml(path), str(path))
 
     def section(key, spec) -> dict:
-        return _known_keys(spec, doc.get(key, {}), f"{path}:{key}")
+        node = _known_keys(spec, doc.get(key, {}), f"{path}:{key}")
+        for name, value in node.items():    # a number wherever the spec holds a float
+            if isinstance(getattr(spec, name), float) and not (
+                    isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and np.isfinite(value)):
+                raise ConfigError(f"{path}:{key}: {name} must be a finite number, "
+                                  f"got {value!r}")
+        return node
 
     gains = ControllerGains(**section("gains", ControllerGains))
     disturbance = DisturbanceSpec(**section("disturbance", DisturbanceSpec))

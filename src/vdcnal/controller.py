@@ -1,22 +1,25 @@
 """Decentralized chain controller.
 
-One control tick does, in order:
+One control tick works on (n, ...) stacks along the chain and does, in order:
 
-1. required joint velocities, either from closed-loop inverse kinematics
+1. the chain poses, which keep each joint rotation for the sweeps below;
+   required joint velocities, either from closed-loop inverse kinematics
    (task mode) or from a joint-space reference (joint mode); required joint
    accelerations by backward differencing at the control period (first tick
    zero);
-2. a base-to-tip sweep producing the actual and required spatial velocity of
-   every link frame, plus the required spatial accelerations (the transform
-   rates use the measured joint rates);
-3. per link, the required net wrench  W phi_hat + K_B (V_r - V)  from the
-   body regressor and the current parameter estimate;
+2. a base-to-tip sweep carrying the actual and required spatial velocity of
+   every link frame together as one 6x2 block, then one for the required
+   spatial accelerations (the transform rates use the measured joint rates);
+3. the (n, 6, 10) regressor in one build, and the required net wrenches
+   W phi_hat + K_B (V_r - V) in one product;
 4. a tip-to-base sweep accumulating required wrenches through the joints
    (zero required wrench at the tip);
-5. per joint, tau = I_hat qddot_r + k_a (qdot_r - qdot) + kappa' F_r;
-6. adaptation updates from s = W' (V_r - V) per link and the scalar analog
-   per joint drive.
+5. tau = I_hat qddot_r + k_a (qdot_r - qdot) + kappa' F_r for every joint;
+6. one update of the link adapter with S = W' (V_r - V), (n, 10), and one of
+   the drive adapter with its (n, 1) scalar analog.
 
+The only per-link loops left are the sweeps' recursions; every per-model
+constant they read (selector slots, tip maps) is built once with the model.
 Every quantity a stability monitor needs (velocity/force pairs at both frames
 of every link) is kept in the returned snapshot; the simulation harness adds
 the measured-side force sweep, which needs the true parameters and the joint
@@ -30,11 +33,8 @@ import numpy as np
 
 from .kinematics import (ChainPoses, Pose, RobotModel, chain_poses, clik_required_velocity,
                          jacobian, pose_error)
-from .rigid_body import assemble_matrices, net_wrench, regressor
-from .spatial import (axis_rotation, cross3, quat_from_rotation, transform_velocity_raw,
-                      transform_wrench_raw)
-
-_ZERO3 = np.zeros(3)
+from .rigid_body import body_wrenches, mass_matrix, regressor
+from .spatial import quat_from_rotation, skew
 
 
 @dataclass(frozen=True)
@@ -50,99 +50,89 @@ class ControllerGains:
 
     def validate(self) -> list[str]:
         bad = [name for name in ("xi", "k_b", "k_a", "gamma", "gamma_a")
-               if getattr(self, name) <= 0.0]
-        problems = [f"gain {name} must be positive" for name in bad]
-        if self.clik_damping < 0.0:
-            problems.append("clik_damping must be >= 0")
+               if not 0.0 < getattr(self, name) < np.inf]
+        problems = [f"gain {name} must be positive and finite" for name in bad]
+        if not 0.0 <= self.clik_damping < np.inf:
+            problems.append("clik_damping must be >= 0 and finite")
         return problems
 
 
-def propagate_velocities(model: RobotModel, q, qdot, qdot_r):
-    """Base-to-tip velocity sweep for the actual and required joint rates.
+def propagate_velocities(model: RobotModel, poses: ChainPoses, qdot, qdot_r):
+    """Base-to-tip sweep of the actual and required velocities, carried
+    together as one 6x2 block [V | V_r] per frame.
 
     Returns (vb, vt, vrb, vrt), each (n, 6), expressed in the local frames.
     The base frame is stationary, so both sweeps start from zero.
     """
     n = model.n
-    vb = np.zeros((n, 6)); vt = np.zeros((n, 6))
-    vrb = np.zeros((n, 6)); vrt = np.zeros((n, 6))
-    prev = np.zeros(6)
-    prev_r = np.zeros(6)
-    for i, joint in enumerate(model.joints):
-        R = axis_rotation(joint.axis, q[i])
-        k = joint.selector
-        vb[i] = transform_velocity_raw(R, _ZERO3, prev) + k * qdot[i]
-        vrb[i] = transform_velocity_raw(R, _ZERO3, prev_r) + k * qdot_r[i]
-        vt[i] = transform_velocity_raw(joint.tip.R, joint.tip.r, vb[i])
-        vrt[i] = transform_velocity_raw(joint.tip.R, joint.tip.r, vrb[i])
-        prev, prev_r = vt[i], vrt[i]
-    return vb, vt, vrb, vrt
+    rates = np.stack((qdot, qdot_r), axis=1)
+    B, T = np.empty((2, n, 6, 2))
+    X = np.zeros((6, 2))
+    for i in range(n):
+        X = (poses.Rj[i].T @ X.reshape(2, 3, 2)).reshape(6, 2)
+        X[model.slots[i]] += rates[i]
+        B[i] = X
+        X = T[i] = model.tip_velocity[i] @ X
+    return B[:, :, 0], T[:, :, 0], B[:, :, 1], T[:, :, 1]
 
 
-def propagate_accelerations(model: RobotModel, q, qdot, qddot, vt_chain):
+def propagate_accelerations(model: RobotModel, poses: ChainPoses, qdot, qddot, vt_chain):
     """Base-to-tip sweep of frame-coordinate accelerations.
 
     ``qddot`` are the joint accelerations of the velocity set being
     differentiated (required or actual); ``vt_chain`` are that set's T-frame
     velocities.  The joint-transform rate always uses the measured rates
-    ``qdot`` because the frames move with the actual mechanism.
+    ``qdot`` because the frames move with the actual mechanism, so its term
+    -qdot_i k x (R_i' V_T,i-1) is known for every link before the sweep.
     Returns (ab, at), each (n, 6).
     """
     n = model.n
-    ab = np.zeros((n, 6)); at = np.zeros((n, 6))
-    prev_a = np.zeros(6)
-    for i, joint in enumerate(model.joints):
-        R = axis_rotation(joint.axis, q[i])
-        k3 = joint.axis_unit
-        prev_v = vt_chain[i - 1] if i > 0 else np.zeros(6)
-        a = transform_velocity_raw(R, _ZERO3, prev_a)
-        a[:3] -= qdot[i] * cross3(k3, R.T @ prev_v[:3])
-        a[3:] -= qdot[i] * cross3(k3, R.T @ prev_v[3:])
-        ab[i] = a + joint.selector * qddot[i]
-        at[i] = transform_velocity_raw(joint.tip.R, joint.tip.r, ab[i])
-        prev_a = at[i]
+    inflow = np.zeros((n, 2, 3))
+    inflow[1:] = np.reshape(vt_chain[:-1], (n - 1, 2, 3))
+    # rows R_i' v, then k_i x (R_i' v), for the linear and angular halves
+    turned = (inflow @ poses.Rj) @ np.swapaxes(skew(model.axes), 1, 2)
+    drive = (-qdot[:, None, None] * turned).reshape(n, 6)
+    drive[np.arange(n), model.slots] += qddot
+    ab, at = np.empty((2, n, 6))
+    a = np.zeros(6)
+    for i in range(n):
+        a = ab[i] = (a.reshape(2, 3) @ poses.Rj[i]).reshape(6) + drive[i]
+        a = at[i] = model.tip_velocity[i] @ a
     return ab, at
 
 
 def link_control_wrench(W, phi_hat, k_b, v_r, v) -> np.ndarray:
-    """Required net wrench of one link: W phi_hat + K_B (V_r - V)."""
+    """Required net wrenches W phi_hat + K_B (V_r - V), one row per link."""
     dv = v_r - v
-    fb = k_b @ dv if np.ndim(k_b) == 2 else k_b * dv
-    return W @ phi_hat + fb
+    fb = dv @ np.transpose(k_b) if np.ndim(k_b) == 2 else k_b * dv
+    return np.einsum("...ij,...j->...i", W, phi_hat) + fb
 
 
-def propagate_forces(model: RobotModel, q, net_b, tip):
+def propagate_forces(model: RobotModel, poses: ChainPoses, net_b, tip):
     """Tip-to-base force sweep; ``tip`` is the wrench passed on at T_n.
 
     Returns (fb, ft), each (n, 6): fb[j] = U(tip_j) ft[j] + net_b[j] and
     ft[j-1] = U(joint_j) fb[j].
     """
     n = model.n
-    fb = np.zeros((n, 6)); ft = np.zeros((n, 6))
-    carried = np.asarray(tip, dtype=float)
+    fb, ft = np.empty((2, n, 6))
+    f = np.asarray(tip, dtype=float)
     for j in range(n - 1, -1, -1):
-        joint = model.joints[j]
-        ft[j] = carried
-        fb[j] = transform_wrench_raw(joint.tip.R, joint.tip.r, carried) + net_b[j]
-        R = axis_rotation(joint.axis, q[j])
-        carried = transform_wrench_raw(R, _ZERO3, fb[j])
+        ft[j] = f
+        fb[j] = model.tip_wrench[j] @ f + net_b[j]
+        f = (fb[j].reshape(2, 3) @ poses.Rj[j].T).reshape(6)
     return fb, ft
 
 
 def joint_torques(model: RobotModel, i_hats, k_a, qddot_r, qdot_r, qdot, fr_b):
     """tau_i = I_hat_i qddot_r,i + k_a (qdot_r,i - qdot_i) + kappa_i' F_r,Bi."""
-    n = model.n
-    tau_star = np.empty(n)
-    tau = np.empty(n)
-    for i, joint in enumerate(model.joints):
-        tau_star[i] = i_hats[i] * qddot_r[i] + k_a * (qdot_r[i] - qdot[i])
-        tau[i] = tau_star[i] + float(joint.selector @ fr_b[i])
-    return tau, tau_star
+    tau_star = i_hats * qddot_r + k_a * (qdot_r - qdot)
+    return tau_star + fr_b[np.arange(model.n), model.slots], tau_star
 
 
-def virtual_power_flow(v_r, v, f_r, f) -> float:
-    """p = (V_r - V)'(F_r - F), the power conjugate at one cutting frame."""
-    return float((np.asarray(v_r) - np.asarray(v)) @ (np.asarray(f_r) - np.asarray(f)))
+def virtual_power_flow(v_r, v, f_r, f):
+    """p = (V_r - V)'(F_r - F), the power conjugate at one cutting frame (or a row each)."""
+    return np.sum((np.asarray(v_r) - v) * (np.asarray(f_r) - f), axis=-1)
 
 
 @dataclass
@@ -169,28 +159,32 @@ class StepSnapshot:
 
 
 class VdcController:
-    """Ties the sweeps together and owns the adapter and differencing state."""
+    """Ties the sweeps together and owns the adapters and the differencing state.
+
+    ``link_adapters`` and ``joint_adapters`` are one adapter each, for the
+    whole chain (see :mod:`vdcnal.adaptation`).
+    """
 
     def __init__(self, model: RobotModel, gains: ControllerGains, reference,
                  link_adapters, joint_adapters, mode: str = "task",
                  dt: float = 1e-3, joint_gain: float | None = None):
         if mode not in ("task", "joint"):
             raise ValueError("mode must be 'task' or 'joint'")
-        if len(link_adapters) != model.n or len(joint_adapters) != model.n:
-            raise ValueError("need one link adapter and one joint adapter per joint")
+        if (link_adapters.phi_hat().shape, joint_adapters.phi_hat().shape) != \
+                ((model.n, 10), (model.n, 1)):
+            raise ValueError(f"need link and joint adapters for {model.n} joints")
         self.model = model
         self.gains = gains
         self.reference = reference
-        self.link_adapters = list(link_adapters)
-        self.joint_adapters = list(joint_adapters)
+        self.link_adapters = link_adapters
+        self.joint_adapters = joint_adapters
         self.mode = mode
         self.dt = float(dt)
         self.joint_gain = gains.xi if joint_gain is None else float(joint_gain)
         self._prev_qdot_r = None
 
     def step(self, t: float, q, qdot) -> tuple[np.ndarray, StepSnapshot]:
-        model = self.model
-        g = self.gains
+        model, g = self.model, self.gains
         q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
         poses = chain_poses(model, q)
@@ -215,26 +209,17 @@ class VdcController:
             qddot_r = (qdot_r - self._prev_qdot_r) / self.dt
         self._prev_qdot_r = qdot_r
 
-        vb, vt, vrb, vrt = propagate_velocities(model, q, qdot, qdot_r)
-        ar_b, _ = propagate_accelerations(model, q, qdot, qddot_r, vrt)
+        vb, vt, vrb, vrt = propagate_velocities(model, poses, qdot, qdot_r)
+        ar_b, _ = propagate_accelerations(model, poses, qdot, qddot_r, vrt)
+        W = regressor(ar_b, vrb, np.swapaxes(poses.Rb, 1, 2), model.gravity)
+        net_r = link_control_wrench(W, self.link_adapters.phi_hat(), g.k_b, vrb, vb)
+        fr_b, fr_t = propagate_forces(model, poses, net_r, np.zeros(6))
+        tau, tau_star = joint_torques(model, self.joint_adapters.phi_hat()[:, 0], g.k_a,
+                                      qddot_r, qdot_r, qdot, fr_b)
 
-        n = model.n
-        net_r = np.empty((n, 6))
-        regs = []
-        for i in range(n):
-            W = regressor(ar_b[i], vrb[i], poses.Rb[i].T, model.gravity)
-            regs.append(W)
-            net_r[i] = link_control_wrench(W, self.link_adapters[i].phi_hat(),
-                                           g.k_b, vrb[i], vb[i])
-        fr_b, fr_t = propagate_forces(model, q, net_r, np.zeros(6))
-
-        i_hats = [a.phi_hat()[0] for a in self.joint_adapters]
-        tau, tau_star = joint_torques(model, i_hats, g.k_a, qddot_r, qdot_r, qdot, fr_b)
-
-        for i in range(n):
-            self.link_adapters[i].update(regs[i].T @ (vrb[i] - vb[i]), self.dt)
-            self.joint_adapters[i].update(qddot_r[i] * (qdot_r[i] - qdot[i]), self.dt)
-        min_eigs = np.array([a.min_eig() for a in self.link_adapters])
+        self.link_adapters.update(np.einsum("nij,ni->nj", W, vrb - vb), self.dt)
+        self.joint_adapters.update((qddot_r * (qdot_r - qdot))[:, None], self.dt)
+        min_eigs = self.link_adapters.min_eig()
 
         snap = StepSnapshot(t, poses, pose, chi, chi_d, err, qdot_r, qddot_r,
                             vb, vt, vrb, vrt, fr_b, fr_t, tau, tau_star, min_eigs)
@@ -253,6 +238,11 @@ class StabilityDiagnostics:
     min_eigs: np.ndarray       # (n,) of the link pseudo-inertia estimates
 
 
+# the monitor's constants of the last model it saw: the true links' mass
+# matrices (which carry skew(h)); the model is held, so `is` identifies it
+_monitor_constants: tuple[RobotModel, np.ndarray] | None = None
+
+
 def stability_diagnostics(model: RobotModel, snap: StepSnapshot, q, qdot, qddot,
                           tip_wrench, link_adapters, joint_adapters) -> StabilityDiagnostics:
     """Measured-side force sweep plus the decrescent bookkeeping.
@@ -261,37 +251,27 @@ def stability_diagnostics(model: RobotModel, snap: StepSnapshot, q, qdot, qddot,
     simulation-side monitor, not part of the control law.  ``tip_wrench`` is
     the wrench the chain passes to the environment at T_n, in that frame.
     """
-    n = model.n
-    ab, _ = propagate_accelerations(model, q, qdot, qddot, snap.vt)
-    net = np.empty((n, 6))
-    mats_list = []
-    for i, joint in enumerate(model.joints):
-        mats = assemble_matrices(joint.link, snap.vb[i][3:], snap.poses.Rb[i].T,
-                                 model.gravity)
-        mats_list.append(mats)
-        net[i] = net_wrench(mats, ab[i], snap.vb[i])
-    fb, ft = propagate_forces(model, q, net, tip_wrench)
+    global _monitor_constants
+    if _monitor_constants is None or _monitor_constants[0] is not model:
+        _monitor_constants = (model, np.array([mass_matrix(j.link) for j in model.joints]))
+    mass = _monitor_constants[1]
+    poses = snap.poses
+    ab, _ = propagate_accelerations(model, poses, qdot, qddot, snap.vt)
+    net = body_wrenches(mass, ab, snap.vb, np.swapaxes(poses.Rb, 1, 2), model.gravity)
+    fb, ft = propagate_forces(model, poses, net, tip_wrench)
 
-    vpf = np.empty(n)
-    nu_links = np.empty(n)
-    nu_joints = np.empty(n)
-    for i, joint in enumerate(model.joints):
-        dv = snap.vrb[i] - snap.vb[i]
-        vpf[i] = virtual_power_flow(snap.vrb[i], snap.vb[i], snap.fr_b[i], fb[i])
-        M = mats_list[i].M
-        nu_links[i] = 0.5 * float(dv @ (M @ dv)) + link_adapters[i].distance(joint.link_phi)
-        dqd = snap.qdot_r[i] - qdot[i]
-        nu_joints[i] = (0.5 * joint.motor_inertia * dqd ** 2
-                        + joint_adapters[i].distance(joint.drive_phi))
+    dv = snap.vrb - snap.vb
+    vpf = virtual_power_flow(snap.vrb, snap.vb, snap.fr_b, fb)
+    nu_links = (0.5 * np.einsum("ni,nij,nj->n", dv, mass, dv)
+                + link_adapters.distance(model.link_phi))
+    dqd = snap.qdot_r - qdot
+    nu_joints = (0.5 * model.drive_phi[:, 0] * dqd ** 2
+                 + joint_adapters.distance(model.drive_phi))
 
-    telescope = np.empty(max(n - 1, 0))
-    for i in range(n - 1):
-        p_t = virtual_power_flow(snap.vrt[i], snap.vt[i], snap.fr_t[i], ft[i])
-        p_b = vpf[i + 1]
-        joint = model.joints[i + 1]
-        joint_channel = (snap.qdot_r[i + 1] - qdot[i + 1]) * float(
-            joint.selector @ (snap.fr_b[i + 1] - fb[i + 1]))
-        telescope[i] = p_b - p_t - joint_channel
+    p_t = virtual_power_flow(snap.vrt[:-1], snap.vt[:-1], snap.fr_t[:-1], ft[:-1])
+    rows = (np.arange(1, model.n), model.slots[1:])
+    joint_channel = dqd[1:] * (snap.fr_b[rows] - fb[rows])
+    telescope = vpf[1:] - p_t - joint_channel
 
     return StabilityDiagnostics(vpf, nu_links, nu_joints,
                                 float(np.sum(nu_links) + np.sum(nu_joints)),

@@ -21,7 +21,7 @@ import numpy as np
 from .rigid_body import InertialParams
 from .spatial import (FrameTransform, UnitQuaternion, axis_rotation, axis_vector, cross3,
                       euler_xyz_rate_matrix, euler_xyz_to_rotation, quat_from_rotation,
-                      rotation_to_euler_xyz, skew)
+                      rotation_to_euler_xyz, skew, transform_velocity_raw, transform_wrench_raw)
 
 # selector slots: linear part first, angular part last
 _AXIS_SLOT = {"x": 3, "y": 4, "z": 5}
@@ -40,20 +40,12 @@ class Joint:
     tip: FrameTransform             # constant B_i -> T_i transform
     link: InertialParams            # link body, written in B_i
     limit: tuple[float, float] = (-np.pi, np.pi)
-    # the true parameters, shaped as a link adapter's (10,) and a drive
-    # adapter's (1,) estimate; read-only, built once
-    link_phi: np.ndarray = field(init=False, repr=False, compare=False)
-    drive_phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.axis not in _AXIS_SLOT:
             raise ValueError(f"joint {self.name!r}: axis must be one of x, y, z")
         if self.motor_inertia < 0.0:
             raise ValueError(f"joint {self.name!r}: motor inertia must be >= 0")
-        for name, phi in (("link_phi", self.link.as_vector()),
-                          ("drive_phi", np.array([float(self.motor_inertia)]))):
-            phi.setflags(write=False)
-            object.__setattr__(self, name, phi)
 
     @property
     def selector(self) -> np.ndarray:
@@ -92,14 +84,37 @@ class RobotModel:
     base: FrameTransform
     gravity: np.ndarray
     home_pose: Pose | None = None
+    # per-joint constants stacked along the chain, read-only, built once; the
+    # true parameters are shaped as the link and drive adapters' estimates
+    slots: np.ndarray = field(init=False, repr=False, compare=False)
+    axes: np.ndarray = field(init=False, repr=False, compare=False)
+    tip_velocity: np.ndarray = field(init=False, repr=False, compare=False)
+    tip_wrench: np.ndarray = field(init=False, repr=False, compare=False)
+    link_phi: np.ndarray = field(init=False, repr=False, compare=False)
+    drive_phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.array(self.gravity, dtype=float)
         if g.shape != (3,):
             raise ValueError("gravity must be a 3-vector")
-        g.setflags(write=False)
-        object.__setattr__(self, "gravity", g)
-        object.__setattr__(self, "joints", tuple(self.joints))
+        joints = tuple(self.joints)
+        n, unit = len(joints), np.eye(6)
+        stacks = {
+            "gravity": g,
+            "slots": np.array([_AXIS_SLOT[j.axis] for j in joints], dtype=int),
+            "axes": np.array([j.axis_unit for j in joints]).reshape(n, 3),
+            "tip_velocity": np.array([[transform_velocity_raw(j.tip.R, j.tip.r, e) for e in unit]
+                                      for j in joints]).reshape(n, 6, 6).transpose(0, 2, 1),
+            "tip_wrench": np.array([[transform_wrench_raw(j.tip.R, j.tip.r, e) for e in unit]
+                                    for j in joints]).reshape(n, 6, 6).transpose(0, 2, 1),
+            "link_phi": np.array([j.link.as_vector() for j in joints]).reshape(n, 10),
+            "drive_phi": np.array([[j.motor_inertia] for j in joints], dtype=float).reshape(n, 1),
+        }
+        for name, a in stacks.items():
+            a = np.ascontiguousarray(a)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "joints", joints)
 
     @property
     def n(self) -> int:
@@ -125,7 +140,8 @@ class RobotModel:
 
 @dataclass(frozen=True)
 class ChainPoses:
-    """World pose of every frame: base (T_0), then B_i and T_i per link."""
+    """World pose of every frame: base (T_0), then B_i and T_i per link, and
+    the joint rotations T_{i-1} -> B_i the sweeps read."""
 
     R0: np.ndarray
     p0: np.ndarray
@@ -133,6 +149,7 @@ class ChainPoses:
     pb: np.ndarray      # (n, 3)
     Rt: np.ndarray
     pt: np.ndarray
+    Rj: np.ndarray      # (n, 3, 3)
 
 
 def chain_poses(model: RobotModel, q) -> ChainPoses:
@@ -142,14 +159,16 @@ def chain_poses(model: RobotModel, q) -> ChainPoses:
     pb = np.empty((n, 3))
     Rt = np.empty((n, 3, 3))
     pt = np.empty((n, 3))
+    Rj = np.empty((n, 3, 3))
     R, p = model.base.R, model.base.r
     for i, joint in enumerate(model.joints):
-        R = R @ axis_rotation(joint.axis, q[i])
+        Rj[i] = axis_rotation(joint.axis, q[i])
+        R = R @ Rj[i]
         Rb[i], pb[i] = R, p
         p = p + R @ joint.tip.r
         R = R @ joint.tip.R
         Rt[i], pt[i] = R, p
-    return ChainPoses(model.base.R, model.base.r, Rb, pb, Rt, pt)
+    return ChainPoses(model.base.R, model.base.r, Rb, pb, Rt, pt, Rj)
 
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
@@ -162,13 +181,8 @@ def forward_kinematics(model: RobotModel, q) -> Pose:
 
 def jacobian(model: RobotModel, poses: ChainPoses) -> np.ndarray:
     """Geometric Jacobian of the tip, world frame: [v, omega] = J @ qdot."""
-    p_ee = poses.pt[-1]
-    J = np.zeros((6, model.n))
-    for i, joint in enumerate(model.joints):
-        axis_w = poses.Rb[i] @ joint.axis_unit
-        J[:3, i] = cross3(axis_w, p_ee - poses.pb[i])
-        J[3:, i] = axis_w
-    return J
+    axis_w = (poses.Rb @ model.axes[:, :, None])[:, :, 0]
+    return np.concatenate((cross3(axis_w, poses.pt[-1] - poses.pb), axis_w), axis=1).T
 
 
 def orientation_error(q_cur: UnitQuaternion, q_des: UnitQuaternion) -> np.ndarray:

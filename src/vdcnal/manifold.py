@@ -21,28 +21,39 @@ _CONSISTENCY_REL_TOL = 1e-12
 
 
 def params_to_pseudo(phi) -> np.ndarray:
-    """Map [m, h, vecI] (or InertialParams) to the 4x4 pseudo-inertia matrix."""
+    """Map [m, h, vecI] (or InertialParams) to the 4x4 pseudo-inertia matrix;
+    a (..., 10) stack maps to (..., 4, 4)."""
     if isinstance(phi, InertialParams):
         phi = phi.as_vector()
-    m, hx, hy, hz, xx, yy, zz, xy, yz, xz = np.asarray(phi, dtype=float).reshape(10)
+    m, hx, hy, hz, xx, yy, zz, xy, yz, xz = np.moveaxis(np.asarray(phi, dtype=float), -1, 0)
     t = 0.5 * (xx + yy + zz)
     o = 0.0 * t     # off-diagonal of 0.5 tr(I) I3: keeps the signs of zeros
-    return np.array([[t - xx, o - xy, o - xz, hx],
-                     [o - xy, t - yy, o - yz, hy],
-                     [o - xz, o - yz, t - zz, hz],
-                     [hx, hy, hz, m]])
+    return np.stack((np.stack((t - xx, o - xy, o - xz, hx), axis=-1),
+                     np.stack((o - xy, t - yy, o - yz, hy), axis=-1),
+                     np.stack((o - xz, o - yz, t - zz, hz), axis=-1),
+                     np.stack((hx, hy, hz, m), axis=-1)), axis=-2)
+
+
+# flat indices of m, h, then the diagonal and the (01, 12, 02) entries of a 4x4
+_UNPACK = [15, 3, 7, 11, 0, 5, 10, 1, 6, 2]
+
+
+def pseudo_to_vectors(L) -> np.ndarray:
+    """Inverse of :func:`params_to_pseudo` over a stack of symmetric 4x4s,
+    (..., 4, 4) -> (..., 10): a direct unpack, exact and unchecked."""
+    v = L.reshape(L.shape[:-2] + (16,))[..., _UNPACK]
+    v[..., 4:7] = (v[..., 4] + v[..., 5] + v[..., 6])[..., None] - v[..., 4:7]
+    v[..., 7:] = -v[..., 7:]
+    return v
 
 
 def pseudo_to_params(L) -> InertialParams:
-    """Inverse of :func:`params_to_pseudo` (exact; no eigendecomposition)."""
+    """Checked inverse of :func:`params_to_pseudo` for one matrix."""
     L = np.asarray(L, dtype=float)
-    if L.shape != (4, 4):
-        raise ValueError("pseudo-inertia must be 4x4")
-    if np.max(np.abs(L - L.T)) > 1e-9 * (1.0 + np.max(np.abs(L))):
-        raise ValueError("pseudo-inertia must be symmetric")
-    sigma = 0.5 * (L[:3, :3] + L[:3, :3].T)
-    inertia = np.trace(sigma) * np.eye(3) - sigma
-    return InertialParams(L[3, 3], 0.5 * (L[:3, 3] + L[3, :3]), inertia)
+    if L.shape != (4, 4) or np.max(np.abs(L - L.T)) > 1e-9 * (1.0 + np.max(np.abs(L))):
+        raise ValueError("pseudo-inertia must be a symmetric 4x4")
+    m, hx, hy, hz, xx, yy, zz, xy, yz, xz = pseudo_to_vectors(0.5 * (L + L.T))
+    return InertialParams(m, [hx, hy, hz], [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
 def is_consistent(phi) -> bool:
@@ -56,17 +67,23 @@ def is_consistent(phi) -> bool:
     return bool(w[0] > _CONSISTENCY_REL_TOL * (1.0 + abs(np.trace(L))))
 
 
-def _check_spd(L, name: str) -> np.ndarray:
-    L = np.asarray(L, dtype=float)
-    if np.linalg.eigvalsh(L)[0] <= 0.0:
+def spd_log_det(L, name: str) -> np.ndarray:
+    """log|L| of a matrix or of each matrix of a stack, which must be positive definite."""
+    w = np.linalg.eigvalsh(L)
+    if np.any(w[..., 0] <= 0.0):
         raise ValueError(f"{name} must be positive definite")
-    return L
+    return np.sum(np.log(w), axis=-1)
 
 
-def bregman_divergence(L1, L2) -> float:
-    """Log-det Bregman divergence D(L1 || L2) = log|L2|/|L1| + tr(L2^-1 L1) - 4."""
-    L1 = _check_spd(L1, "L1")
-    L2 = _check_spd(L2, "L2")
-    _, ld1 = np.linalg.slogdet(L1)
-    _, ld2 = np.linalg.slogdet(L2)
-    return float(ld2 - ld1 + np.trace(np.linalg.solve(L2, L1)) - 4.0)
+def bregman_divergence(L1, log_det1, w2, Q2) -> np.ndarray:
+    """Log-det Bregman divergence D(L1 || L2) = log|L2|/|L1| + tr(L2^-1 L1) - 4.
+
+    Takes stacks: L1 with its log determinant (see :func:`spd_log_det`), and
+    L2 by its eigendecomposition Q2 diag(w2) Q2', so log|L2| = sum(log w2) and
+    L2^-1 = Q2 diag(1/w2) Q2' cost no further factorization.
+    """
+    if np.any(w2[..., 0] <= 0.0):
+        raise ValueError("L2 must be positive definite")
+    inv = (Q2 / w2[..., None, :]) @ np.swapaxes(Q2, -1, -2)
+    return (np.sum(np.log(w2), axis=-1) - log_det1
+            + np.einsum("...ij,...ji->...", inv, L1) - 4.0)

@@ -14,10 +14,11 @@ Gravity is handled through the G term with g = [0, 0, 9.8] in the inertial
 frame; R_AI rotates inertial coordinates into the body frame.  The simulator
 and the controller both use this convention, so the sign cancels consistently.
 
-The Coriolis assembly here is the compact form, whose lower-right block is
-``skew(omega) @ I``.  The plant in :mod:`vdcnal.simulation` builds its own in
-the center-of-mass form; the two differ as matrices but agree when applied to
-the velocity that generated them, so either yields the same net wrench.
+The stacked body wrenches use the compact Coriolis form, whose lower-right
+block is ``skew(omega) @ I``.  The plant in :mod:`vdcnal.simulation` builds
+its own in the center-of-mass form; the two differ as matrices but agree when
+applied to the velocity that generated them, so either yields the same net
+wrench.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import cross3, skew
+from .spatial import skew
 
 GRAVITY = np.array([0.0, 0.0, 9.8])
 
@@ -87,71 +88,59 @@ def mass_matrix(params: InertialParams) -> np.ndarray:
     return M
 
 
-def coriolis_matrix(params: InertialParams, omega) -> np.ndarray:
-    """Compact Coriolis assembly; lower-right block is skew(omega) @ I_bar."""
+def coriolis_matrix(mass, omega) -> np.ndarray:
+    """Compact Coriolis assembly [[m wx, -wx hx], [hx wx, wx I_bar]] from the
+    mass matrix (which carries m, skew(h) and I_bar); (..., 6, 6), (..., 3) in."""
+    mass = np.asarray(mass, dtype=float)
+    m, hx, inertia = mass[..., :1, :1], mass[..., 3:, :3], mass[..., 3:, 3:]
     wx = skew(omega)
-    hx = skew(params.first_moment)
-    C = np.zeros((6, 6))
-    C[:3, :3] = params.mass * wx
-    C[:3, 3:] = -wx @ hx
-    C[3:, :3] = hx @ wx
-    C[3:, 3:] = wx @ params.inertia
+    C = np.empty(wx.shape[:-2] + (6, 6))
+    C[..., :3, :3] = m * wx
+    C[..., :3, 3:] = -(wx @ hx)
+    C[..., 3:, :3] = hx @ wx
+    C[..., 3:, 3:] = wx @ inertia
     return C
 
 
-def gravity_wrench(params: InertialParams, R_AI, g=GRAVITY) -> np.ndarray:
-    """G = [m R_AI g, h x (R_AI g)]; R_AI rotates inertial axes into the body frame."""
-    ga = np.asarray(R_AI, dtype=float) @ np.asarray(g, dtype=float)
-    out = np.empty(6)
-    out[:3] = params.mass * ga
-    out[3:] = cross3(params.first_moment, ga)
-    return out
+def body_wrenches(mass, accel, vel, R_AI, g=GRAVITY) -> np.ndarray:
+    """Net wrenches M a + C(omega) V + G of a stack of bodies, (n, 6), from
+    their (n, 6, 6) mass matrices; G = [m R_AI g, h x (R_AI g)]."""
+    ga = R_AI @ g
+    G = np.concatenate((mass[:, :1, 0] * ga, (mass[:, 3:, :3] @ ga[:, :, None])[:, :, 0]),
+                       axis=1)
+    C = coriolis_matrix(mass, vel[:, 3:])
+    return (mass @ accel[:, :, None] + C @ vel[:, :, None])[:, :, 0] + G
 
 
-@dataclass(frozen=True)
-class BodyMatrices:
-    M: np.ndarray
-    C: np.ndarray
-    G: np.ndarray
-
-
-def assemble_matrices(params: InertialParams, omega, R_AI, g=GRAVITY) -> BodyMatrices:
-    return BodyMatrices(mass_matrix(params), coriolis_matrix(params, omega),
-                        gravity_wrench(params, R_AI, g))
-
-
-def net_wrench(mats: BodyMatrices, accel, vel) -> np.ndarray:
-    """Net wrench the body must receive: M a + C V + G (6-arrays in/out)."""
-    return mats.M @ np.asarray(accel, dtype=float) + mats.C @ np.asarray(vel, dtype=float) + mats.G
+# (w @ _OMEGA_BASIS) holds omega_dot_operator(w) row by row: a 1 at [component,
+# 6 row + column] for each entry of the operator below
+_OMEGA_BASIS = np.zeros((3, 18))
+_OMEGA_BASIS[[0, 1, 2, 1, 0, 2, 2, 1, 0], [0, 3, 5, 7, 9, 10, 14, 16, 17]] = 1.0
 
 
 def omega_dot_operator(w) -> np.ndarray:
-    """3x6 operator with I_bar @ w == omega_dot_operator(w) @ vecI."""
-    wx, wy, wz = np.asarray(w, dtype=float)
-    return np.array([
-        [wx, 0.0, 0.0, wy, 0.0, wz],
-        [0.0, wy, 0.0, wx, wz, 0.0],
-        [0.0, 0.0, wz, 0.0, wy, wx],
-    ])
+    """3x6 operator with I_bar @ w == omega_dot_operator(w) @ vecI; (..., 3) -> (..., 3, 6)."""
+    w = np.asarray(w, dtype=float)
+    return (w @ _OMEGA_BASIS).reshape(w.shape[:-1] + (3, 6))
 
 
 def regressor(accel, vel, R_AI, g=GRAVITY) -> np.ndarray:
-    """6x10 regressor W with W @ phi == M a + C(omega) V + G.
+    """Regressor W with W @ phi == M a + C(omega) V + G, for one body or a stack.
 
-    ``accel`` and ``vel`` are 6-arrays (the required or actual spatial
-    acceleration/velocity of the frame); columns follow the phi layout
-    [m | h | vecI].
+    ``accel`` and ``vel`` are (..., 6): the required or actual spatial
+    acceleration and velocity of each frame; ``R_AI`` is (..., 3, 3).  W is
+    (..., 6, 10), its columns in the phi layout [m | h | vecI].
     """
     a = np.asarray(accel, dtype=float)
     V = np.asarray(vel, dtype=float)
-    vd, wd = a[:3], a[3:]
-    v, w = V[:3], V[3:]
-    ga = np.asarray(R_AI, dtype=float) @ np.asarray(g, dtype=float)
-    wxv = cross3(w, v)
+    vd, wd = a[..., :3], a[..., 3:]
+    v, w = V[..., :3], V[..., 3:]
     wx = skew(w)
-    W = np.zeros((6, 10))
-    W[:3, 0] = vd + wxv + ga
-    W[:3, 1:4] = skew(wd) + wx @ wx
-    W[3:, 1:4] = -(skew(vd) + skew(wxv) + skew(ga))
-    W[3:, 4:] = omega_dot_operator(wd) + wx @ omega_dot_operator(w)
+    ga = np.asarray(R_AI, dtype=float) @ np.asarray(g, dtype=float)
+    f = vd + (wx @ v[..., None])[..., 0] + ga
+    W = np.zeros(a.shape[:-1] + (6, 10))
+    W[..., :3, 0] = f
+    W[..., :3, 1:4] = skew(wd) + wx @ wx
+    W[..., 3:, 1:4] = -skew(f)
+    W[..., 3:, 4:] = omega_dot_operator(wd) + wx @ omega_dot_operator(w)
     return W

@@ -36,11 +36,6 @@ from .kinematics import (CartesianQuinticReference, JointSineReference, RobotMod
 from .rigid_body import mass_matrix
 from .spatial import axis_rotation, skew
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
-
-# (w @ _SKEW_BASIS).reshape(3, 3) == skew(w), for a batch of rows w
-_SKEW_BASIS = np.array([skew(e).ravel() for e in np.eye(3)])
-
 
 def _as_world_wrench(f_ext) -> np.ndarray | None:
     if f_ext is None:
@@ -76,7 +71,7 @@ class _PlantConstants:
         links = [joint.link for joint in model.joints]
         m = np.array([link.mass for link in links]).reshape(n, 1, 1)
         rx = np.array([skew(link.com) for link in links])
-        return cls(tuple((j.axis, 3 + _AXIS_INDEX[j.axis]) for j in model.joints), turn, tip,
+        return cls(tuple(zip((j.axis for j in model.joints), model.slots.tolist())), turn, tip,
                    np.array([mass_matrix(link) for link in links]), m,
                    np.array([skew(link.first_moment) for link in links]), rx,
                    np.array([link.inertia for link in links]) + m * (rx @ rx),
@@ -125,7 +120,7 @@ def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=No
     # net wrench of every link in its B frame, all links at once
     net = k.mass @ frames[:, :, 1:]
     v = frames[:, :, 0]
-    wx = (v[:, 3:] @ _SKEW_BASIS).reshape(n, 3, 3)
+    wx = skew(v[:, 3:])
     C = np.empty((n, 6, 6))
     C[:, :3, :3] = k.m * wx
     C[:, :3, 3:] = -(wx @ k.hx)
@@ -260,7 +255,10 @@ class SimConfig:
 
     def validate(self, model: RobotModel | None = None) -> list[str]:
         problems = self.gains.validate()
-        if self.dt_s <= 0.0:
+        problems += [f"{name} must be finite" for name in ("dt_s", "duration_s",
+                     "transient_cutoff_s", "initial_q_perturb_rad")
+                     if not np.isfinite(getattr(self, name))]
+        if not self.dt_s > 0.0:
             problems.append("dt_s must be positive")
         # duration 0 is the legal degenerate case (empty run)
         if self.duration_s != 0.0 and self.duration_s < self.dt_s:
@@ -277,15 +275,17 @@ class SimConfig:
             problems.append("disturbance kind must be 'none' or 'sine'")
         if self.trajectory.kind not in ("cartesian_quintic", "joint_sine"):
             problems.append("trajectory kind must be 'cartesian_quintic' or 'joint_sine'")
-        if self.trajectory.kind == "cartesian_quintic" and self.trajectory.duration_s <= 0.0:
+        if self.trajectory.kind == "cartesian_quintic" and not self.trajectory.duration_s > 0.0:
             problems.append("trajectory duration_s must be positive")
         if model is not None and self.initial_q_rad is not None \
                 and len(self.initial_q_rad) != model.n:
             problems.append(f"initial_q_rad must have {model.n} entries")
-        if self.adaptation.initial_scale <= 0.0:
+        if not self.adaptation.initial_scale > 0.0:
             problems.append("adaptation initial_scale must be positive")
-        if self.adaptation.projection_rho <= 0.0:
+        if not self.adaptation.projection_rho > 0.0:
             problems.append("adaptation projection_rho must be positive")
+        if self.adaptation.nal_integrator not in ("geometric", "euler"):
+            problems.append("adaptation nal_integrator must be 'geometric' or 'euler'")
         return problems
 
 
@@ -320,27 +320,23 @@ def orientation_angle_deg(e_o) -> np.ndarray:
 
 def make_adapters(model: RobotModel, kind: str, gains: ControllerGains,
                   spec: AdaptationSpec):
-    """(link adapters, drive adapters) of one law for every joint of ``model``."""
+    """(link adapter, drive adapter) of one law, each for the whole chain of ``model``."""
     if kind not in ("nal", "projection", "none"):
         raise ValueError(f"unknown adapter kind {kind!r}")
-    links, drives = [], []
-    for joint in model.joints:
-        guess = initial_link_estimate(joint.link, spec.initial_scale)
-        i0 = spec.initial_scale * joint.motor_inertia
-        if kind == "nal":
-            links.append(NalLinkAdapter(guess, gains.gamma, spec.nal_integrator))
-            drives.append(NalJointAdapter(max(i0, 1e-8), gains.gamma_a))
-        elif kind == "projection":
-            links.append(ProjectionAdapter.around_truth(
-                joint.link_phi, guess.as_vector(), spec.projection_rho,
-                spec.projection_bound_scale, spec.projection_bound_floor))
-            drives.append(ProjectionAdapter.around_truth(
-                joint.drive_phi, i0, spec.projection_rho,
-                spec.projection_bound_scale, 1e-2 * spec.projection_bound_floor))
-        else:
-            links.append(FrozenAdapter(joint.link_phi))
-            drives.append(FrozenAdapter(joint.drive_phi))
-    return links, drives
+    guess = np.array([initial_link_estimate(joint.link, spec.initial_scale).as_vector()
+                      for joint in model.joints]).reshape(model.n, 10)
+    i0 = spec.initial_scale * model.drive_phi
+    if kind == "nal":
+        return (NalLinkAdapter(guess, gains.gamma, spec.nal_integrator, truth=model.link_phi),
+                NalJointAdapter(np.maximum(i0, 1e-8), gains.gamma_a))
+    if kind == "projection":
+        return (ProjectionAdapter.around_truth(
+                    model.link_phi, guess, spec.projection_rho,
+                    spec.projection_bound_scale, spec.projection_bound_floor),
+                ProjectionAdapter.around_truth(
+                    model.drive_phi, i0, spec.projection_rho,
+                    spec.projection_bound_scale, 1e-2 * spec.projection_bound_floor))
+    return FrozenAdapter(model.link_phi), FrozenAdapter(model.drive_phi)
 
 
 def initial_configuration(model: RobotModel, cfg: SimConfig, repetition: int) -> np.ndarray:
@@ -484,8 +480,10 @@ def summarize(log: RunLog) -> dict:
             e = log.column(f"eq_{i}_rad")
             out[f"rmse_joint_{i}_rad"] = rmse(e, t, cutoff)
             out[f"max_error_joint_{i}_rad"] = float(np.max(np.abs(e[t >= cutoff])))
-    out["min_pseudo_inertia_eig"] = float(np.min(
-        np.column_stack([log.column(c) for c in log.columns if c.startswith("mineig_")])))
+    mineig = np.column_stack([log.column(c) for c in log.columns if c.startswith("mineig_")])
+    out["min_pseudo_inertia_eig"] = float(np.min(mineig))
+    # ticks on which some link estimate is outside the consistent set
+    out["ticks_mineig_nonpositive"] = int(np.sum(np.any(mineig <= 0.0, axis=1)))
     return out
 
 

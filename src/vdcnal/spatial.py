@@ -30,18 +30,25 @@ def _freeze(a):
     return a
 
 
+# row k is skew(e_k) flattened, [k, i, j] = (e_k x e_j)_i, so (a @ _SKEW_BASIS) holds
+# skew(a) row by row; every entry is 0 or +-1 times one component of a
+_SKEW_BASIS = np.cross(np.eye(3)[:, None], np.eye(3)[None]).transpose(0, 2, 1).reshape(3, 9)
+
+
 def skew(a) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector: ``skew(a) @ b == cross(a, b)``."""
-    x, y, z = np.asarray(a, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrix of a 3-vector, or of each row of a (..., 3) stack:
+    ``skew(a) @ b == cross(a, b)``."""
+    a = np.asarray(a, dtype=float)
+    return (a @ _SKEW_BASIS).reshape(a.shape[:-1] + (3, 3))
 
 
 def cross3(a, b) -> np.ndarray:
-    # np.cross pays ~30x its arithmetic in dispatch for single 3-vectors,
-    # and the propagation sweeps live on this operation
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    """Cross product of 3-vectors or of (..., 3) stacks; np.cross pays more in dispatch."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.stack((a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]), axis=-1)
 
 
 def rot_x(theta: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 
 from vdcnal.config import builtin_config_path, load_robot
 from vdcnal.kinematics import Joint, RobotModel
+from vdcnal.manifold import bregman_divergence, spd_log_det
 from vdcnal.rigid_body import InertialParams
 from vdcnal.spatial import FrameTransform, rot_x
 
@@ -40,6 +41,12 @@ def random_consistent_params(rng, npts: int | None = None) -> InertialParams:
     for mi, p in zip(masses, pts):
         inertia += mi * (float(p @ p) * np.eye(3) - np.outer(p, p))
     return InertialParams(m, h, inertia)
+
+
+def divergence(L1, L2):
+    """The library's Bregman divergence D(L1 || L2) between two SPD matrices."""
+    w2, Q2 = np.linalg.eigh(L2)
+    return float(bregman_divergence(L1, spd_log_det(L1, "L1"), w2, Q2))
 
 
 def zero_gravity_clone(model: RobotModel) -> RobotModel:

@@ -1,12 +1,16 @@
 """Independent reference forms the tests check the library against.
 
 None of these runs in a simulation: each restates a quantity the library
-computes another way (an SPD distance, the center-of-mass Coriolis form), so
-agreement between the two is the test.
+computes another way (an SPD distance, the center-of-mass Coriolis form, the
+per-body matrix route to a net wrench), so agreement between the two is the
+test.  The per-link forms at the end are the one-link-at-a-time sweeps,
+regressor and natural-law step that the library's stacked versions replaced.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
-from vdcnal.rigid_body import InertialParams
+from vdcnal.rigid_body import InertialParams, coriolis_matrix, mass_matrix
 from vdcnal.spatial import skew
 
 
@@ -67,3 +71,152 @@ def coriolis_matrix_original(params: InertialParams, omega) -> np.ndarray:
     C[3:, :3] = hx @ wx
     C[3:, 3:] = wx @ I_com + I_com @ wx - m * rx @ wx @ rx
     return C
+
+
+# --- the per-body and per-link forms the stacked library code replaced -------
+
+def _cross(a, b) -> np.ndarray:
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _skew(a) -> np.ndarray:
+    x, y, z = a
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def gravity_wrench(params: InertialParams, R_AI, g=(0.0, 0.0, 9.8)) -> np.ndarray:
+    """G = [m R_AI g, h x (R_AI g)]; R_AI rotates inertial axes into the body frame."""
+    ga = np.asarray(R_AI, dtype=float) @ np.asarray(g, dtype=float)
+    return np.concatenate((params.mass * ga, _cross(params.first_moment, ga)))
+
+
+@dataclass(frozen=True)
+class BodyMatrices:
+    M: np.ndarray
+    C: np.ndarray
+    G: np.ndarray
+
+
+def assemble_matrices(params: InertialParams, omega, R_AI, g=(0.0, 0.0, 9.8)) -> BodyMatrices:
+    M = mass_matrix(params)
+    return BodyMatrices(M, coriolis_matrix(M, omega), gravity_wrench(params, R_AI, g))
+
+
+def net_wrench(mats: BodyMatrices, accel, vel) -> np.ndarray:
+    """Net wrench one body must receive by the matrix route: M a + C V + G."""
+    return mats.M @ np.asarray(accel, dtype=float) + mats.C @ np.asarray(vel, dtype=float) + mats.G
+
+
+def _omega_dot_operator(w) -> np.ndarray:
+    wx, wy, wz = w
+    return np.array([[wx, 0.0, 0.0, wy, 0.0, wz],
+                     [0.0, wy, 0.0, wx, wz, 0.0],
+                     [0.0, 0.0, wz, 0.0, wy, wx]])
+
+
+def regressor_per_body(accel, vel, R_AI, g=(0.0, 0.0, 9.8)) -> np.ndarray:
+    """6x10 regressor of one body, as built one link at a time."""
+    vd, wd = accel[:3], accel[3:]
+    v, w = vel[:3], vel[3:]
+    ga = np.asarray(R_AI, dtype=float) @ np.asarray(g, dtype=float)
+    wxv = _cross(w, v)
+    wx = _skew(w)
+    W = np.zeros((6, 10))
+    W[:3, 0] = vd + wxv + ga
+    W[:3, 1:4] = _skew(wd) + wx @ wx
+    W[3:, 1:4] = -(_skew(vd) + _skew(wxv) + _skew(ga))
+    W[3:, 4:] = _omega_dot_operator(wd) + wx @ _omega_dot_operator(w)
+    return W
+
+
+def _velocity_raw(R, r, va) -> np.ndarray:
+    return np.concatenate((R.T @ (va[:3] + _cross(va[3:], r)), R.T @ va[3:]))
+
+
+def _wrench_raw(R, r, fb) -> np.ndarray:
+    fa = R @ fb[:3]
+    return np.concatenate((fa, _cross(r, fa) + R @ fb[3:]))
+
+
+def _axis_rotation(axis: str, theta: float) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    return {"x": np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]),
+            "y": np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]),
+            "z": np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])}[axis]
+
+
+def propagate_velocities_per_link(model, q, qdot, qdot_r):
+    """(vb, vt, vrb, vrt): one transform per link and velocity set."""
+    n = model.n
+    vb, vt, vrb, vrt = np.zeros((4, n, 6))
+    prev, prev_r = np.zeros(6), np.zeros(6)
+    for i, joint in enumerate(model.joints):
+        R = _axis_rotation(joint.axis, q[i])
+        k = joint.selector
+        vb[i] = _velocity_raw(R, np.zeros(3), prev) + k * qdot[i]
+        vrb[i] = _velocity_raw(R, np.zeros(3), prev_r) + k * qdot_r[i]
+        vt[i] = _velocity_raw(joint.tip.R, joint.tip.r, vb[i])
+        vrt[i] = _velocity_raw(joint.tip.R, joint.tip.r, vrb[i])
+        prev, prev_r = vt[i], vrt[i]
+    return vb, vt, vrb, vrt
+
+
+def propagate_accelerations_per_link(model, q, qdot, qddot, vt_chain):
+    """(ab, at), the joint-transform rate from the measured ``qdot``."""
+    n = model.n
+    ab, at = np.zeros((2, n, 6))
+    prev_a = np.zeros(6)
+    for i, joint in enumerate(model.joints):
+        R = _axis_rotation(joint.axis, q[i])
+        k3 = joint.axis_unit
+        prev_v = vt_chain[i - 1] if i > 0 else np.zeros(6)
+        a = _velocity_raw(R, np.zeros(3), prev_a)
+        a[:3] -= qdot[i] * _cross(k3, R.T @ prev_v[:3])
+        a[3:] -= qdot[i] * _cross(k3, R.T @ prev_v[3:])
+        ab[i] = a + joint.selector * qddot[i]
+        at[i] = _velocity_raw(joint.tip.R, joint.tip.r, ab[i])
+        prev_a = at[i]
+    return ab, at
+
+
+def propagate_forces_per_link(model, q, net_b, tip):
+    """(fb, ft) of the tip-to-base sweep, one joint at a time."""
+    n = model.n
+    fb, ft = np.zeros((2, n, 6))
+    carried = np.asarray(tip, dtype=float)
+    for j in range(n - 1, -1, -1):
+        joint = model.joints[j]
+        ft[j] = carried
+        fb[j] = _wrench_raw(joint.tip.R, joint.tip.r, carried) + net_b[j]
+        carried = _wrench_raw(_axis_rotation(joint.axis, q[j]), np.zeros(3), fb[j])
+    return fb, ft
+
+
+def _dual_per_link(s) -> np.ndarray:
+    """solve_dual as a 10x10 solve and a sum over the symmetric basis."""
+    from vdcnal.adaptation import pseudo_basis
+    sym = []
+    for i in range(4):
+        for j in range(i, 4):
+            E = np.zeros((4, 4))
+            E[i, j] = E[j, i] = 1.0
+            sym.append(E)
+    system = np.array([[np.trace(E @ B) for B in sym] for E in pseudo_basis()])
+    coeff = np.linalg.solve(system, np.asarray(s, dtype=float))
+    return sum(c * B for c, B in zip(coeff, sym))
+
+
+def nal_step_per_link(L, s, gamma: float, dt: float, method: str = "geometric"):
+    """One link's natural-law step from its 4x4 estimate, two decompositions a step."""
+    S = _dual_per_link(s)
+    if method == "geometric":
+        w, Q = np.linalg.eigh(L)
+        H = Q @ np.diag(np.sqrt(w)) @ Q.T
+        A = (dt / gamma) * (H @ S @ H)
+        e, V = np.linalg.eigh(0.5 * (A + A.T))
+        L_new = H @ (V @ np.diag(np.exp(e)) @ V.T) @ H
+    else:
+        L_new = L + (dt / gamma) * (L @ S @ L)
+    return 0.5 * (L_new + L_new.T)

@@ -9,8 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import pendulum_accel, random_consistent_params, random_rotation
-from oracles import bregman_divergence_eigen, coriolis_matrix_original, geodesic_distance
+from conftest import divergence, pendulum_accel, random_consistent_params, random_rotation
+from oracles import (
+    assemble_matrices,
+    bregman_divergence_eigen,
+    coriolis_matrix_original,
+    geodesic_distance,
+    net_wrench,
+)
 from vdcnal.adaptation import (
     NalState,
     initial_link_estimate,
@@ -28,17 +34,11 @@ from vdcnal.controller import (
 )
 from vdcnal.kinematics import CartesianQuinticReference, chain_poses, forward_kinematics
 from vdcnal.manifold import (
-    bregman_divergence,
     is_consistent,
     params_to_pseudo,
     pseudo_to_params,
 )
-from vdcnal.rigid_body import (
-    assemble_matrices,
-    coriolis_matrix,
-    net_wrench,
-    regressor,
-)
+from vdcnal.rigid_body import coriolis_matrix, mass_matrix, regressor
 from vdcnal.simulation import (
     forward_dynamics,
     inverse_dynamics,
@@ -53,16 +53,15 @@ def test_criterion_01_regressor_matches_matrix_route():
     """W(a, V, R) phi equals M a + C V + G on 1000 random draws in under 1 s."""
     rng = np.random.default_rng(101)
     started = time.perf_counter()
+    draws = [(random_consistent_params(rng), rng.standard_normal(6), rng.standard_normal(6),
+              random_rotation(rng)) for _ in range(1000)]
+    params, V, a, R = (np.array(x) for x in zip(*draws))
+    phi = np.array([p.as_vector() for p in params])
+    lhs = np.einsum("kij,kj->ki", regressor(a, V, R), phi)
     worst = 0.0
-    for _ in range(1000):
-        params = random_consistent_params(rng)
-        V = rng.standard_normal(6)
-        a = rng.standard_normal(6)
-        R = random_rotation(rng)
-        lhs = regressor(a, V, R) @ params.as_vector()
-        rhs = net_wrench(assemble_matrices(params, V[3:], R), a, V)
-        gap = np.max(np.abs(lhs - rhs)) / (1.0 + np.max(np.abs(rhs)))
-        worst = max(worst, gap)
+    for k, (p, Vk, ak, Rk) in enumerate(draws):
+        rhs = net_wrench(assemble_matrices(p, Vk[3:], Rk), ak, Vk)
+        worst = max(worst, np.max(np.abs(lhs[k] - rhs)) / (1.0 + np.max(np.abs(rhs))))
     elapsed = time.perf_counter() - started
     print(f"criterion 1: worst relative gap {worst:.3e} <= 1e-10, "
           f"{elapsed:.2f} s < 1 s")
@@ -78,7 +77,7 @@ def test_criterion_02_coriolis_forms_and_skew():
     for _ in range(1000):
         params = random_consistent_params(rng)
         V = rng.standard_normal(6)
-        C = coriolis_matrix(params, V[3:])
+        C = coriolis_matrix(mass_matrix(params), V[3:])
         Cbar = coriolis_matrix_original(params, V[3:])
         worst_diff = max(worst_diff, np.max(np.abs((Cbar - C) @ V)))
         worst_skew = max(worst_skew, abs(V @ C @ V), abs(V @ Cbar @ V))
@@ -132,7 +131,7 @@ def test_criterion_04_dual_solve_pairing():
 def test_criterion_05_divergence_closed_forms():
     """Closed-form checks plus agreement and congruence invariance."""
     I4 = np.eye(4)
-    d_breg = bregman_divergence(2.0 * I4, I4)
+    d_breg = divergence(2.0 * I4, I4)
     d_geo = geodesic_distance(I4, 2.0 * I4)
     err_breg = abs(d_breg - (4.0 - 4.0 * np.log(2.0)))
     err_geo = abs(d_geo - 2.0 * np.log(2.0))
@@ -144,12 +143,12 @@ def test_criterion_05_divergence_closed_forms():
     for _ in range(300):
         A = rng.standard_normal((4, 4)); A = A @ A.T + 0.5 * I4
         B = rng.standard_normal((4, 4)); B = B @ B.T + 0.5 * I4
-        d = bregman_divergence(A, B)
+        d = divergence(A, B)
         worst_forms = max(worst_forms, abs(d - bregman_divergence_eigen(A, B)))
         T = rng.standard_normal((4, 4))
         while abs(np.linalg.det(T)) < 0.1:
             T = rng.standard_normal((4, 4))
-        dc = bregman_divergence(T @ A @ T.T, T @ B @ T.T)
+        dc = divergence(T @ A @ T.T, T @ B @ T.T)
         worst_cong = max(worst_cong, abs(dc - d) / (1.0 + abs(d)))
     print(f"criterion 5: D(2I||I) err {err_breg:.3e}, d(I,2I) err {err_geo:.3e} "
           f"<= 1e-9; forms gap {worst_forms:.3e} <= 1e-10; "
@@ -162,18 +161,18 @@ def test_criterion_06_adversarial_signal_keeps_estimates_positive(arm7):
     """60 s of sign-alternating amplitude-10 signals never leaves the cone."""
     dt, gamma, duration = 1e-3, 10.0, 60.0
     steps = int(round(duration / dt))
+    phi0 = np.array([initial_link_estimate(joint.link).as_vector() for joint in arm7.joints])
+    state = NalState.from_pseudo(params_to_pseudo(phi0), gamma)
+    # each link keeps its own signal stream, drawn 10 at a time as before
+    rngs = [np.random.default_rng(600 + j) for j in range(arm7.n)]
+    u = np.stack([rng.standard_normal((steps, 10)) for rng in rngs], axis=1)
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
     worst = np.inf
-    for j, joint in enumerate(arm7.joints):
-        phi0 = initial_link_estimate(joint.link).as_vector()
-        state = NalState(params_to_pseudo(phi0), gamma)
-        rng = np.random.default_rng(600 + j)
-        for k in range(steps):
-            u = rng.standard_normal(10)
-            s = (10.0 if k % 2 == 0 else -10.0) * u / np.linalg.norm(u)
-            state = nal_step(state, s, dt)
-            min_eig = np.linalg.eigvalsh(state.L)[0]
-            worst = min(worst, min_eig)
-            assert min_eig > 0.0
+    for k in range(steps):
+        state = nal_step(state, (10.0 if k % 2 == 0 else -10.0) * u[k], dt)
+        min_eig = np.min(np.linalg.eigvalsh(state.L)[:, 0])
+        worst = min(worst, min_eig)
+        assert min_eig > 0.0
     print(f"criterion 6: smallest eigenvalue over 7 links x {steps} steps "
           f"{worst:.3e} > 0")
 
@@ -287,11 +286,11 @@ def test_criterion_10_force_propagation_and_integrator(rrr3, arm7, pendulum):
             qd = rng.standard_normal(model.n)
             qdd = rng.standard_normal(model.n)
             poses = chain_poses(model, q)
-            vb, vt, _, _ = propagate_velocities(model, q, qd, qd)
-            ab, _ = propagate_accelerations(model, q, qd, qdd, vt)
-            net = [regressor(ab[i], vb[i], poses.Rb[i].T, model.gravity)
-                   @ model.joints[i].link.as_vector() for i in range(model.n)]
-            fb, _ = propagate_forces(model, q, np.array(net), np.zeros(6))
+            vb, vt, _, _ = propagate_velocities(model, poses, qd, qd)
+            ab, _ = propagate_accelerations(model, poses, qd, qdd, vt)
+            W = regressor(ab, vb, np.swapaxes(poses.Rb, 1, 2), model.gravity)
+            net = np.einsum("nij,nj->ni", W, model.link_phi)
+            fb, _ = propagate_forces(model, poses, net, np.zeros(6))
             tau, _ = joint_torques(model, i_m, 0.0, qdd, qd, qd, fb)
             ref = inverse_dynamics(model, q, qd, qdd) + i_m * qdd
             worst = max(worst, float(np.max(np.abs(tau - ref))))

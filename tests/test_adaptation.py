@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_consistent_params
+from conftest import divergence, random_consistent_params
 from vdcnal.adaptation import (
     FrozenAdapter,
     NalJointAdapter,
@@ -17,7 +17,7 @@ from vdcnal.adaptation import (
     pseudo_basis,
     solve_dual,
 )
-from vdcnal.manifold import bregman_divergence, is_consistent, params_to_pseudo
+from vdcnal.manifold import is_consistent, params_to_pseudo, pseudo_to_vectors
 
 
 def test_solve_dual_zero_and_basis_duality():
@@ -69,7 +69,7 @@ def test_nal_step_scalar_embedding():
     sigma = 0.7
     s = np.array([np.trace(E @ (sigma * np.eye(4))) for E in basis])
     l0, gamma, dt = 0.8, 10.0, 1e-3
-    state = NalState(l0 * np.eye(4), gamma)
+    state = NalState.from_pseudo(l0 * np.eye(4), gamma)
 
     euler = nal_step(state, s, dt, "euler")
     expected_euler = l0 + (dt / gamma) * l0 ** 2 * sigma
@@ -124,7 +124,7 @@ def test_nal_flow_decrements_bregman_divergence():
         if (np.linalg.eigvalsh(L)[0] < 1e-2 * (1 + np.trace(L))
                 or np.linalg.eigvalsh(Lh)[0] < 1e-2 * (1 + np.trace(Lh))):
             continue
-        d0 = bregman_divergence(L, Lh)
+        d0 = divergence(L, Lh)
         u = est.as_vector() - truth.as_vector()
         if d0 > 50.0 or np.linalg.norm(u) < 0.5:
             continue
@@ -132,7 +132,7 @@ def test_nal_flow_decrements_bregman_divergence():
         noise *= 0.3 * np.linalg.norm(u) / np.linalg.norm(noise)
         s = (u + noise) if kept % 2 == 0 else -(u + noise)
         state = NalState.from_params(est, gamma)
-        d1 = bregman_divergence(L, nal_step(state, s, dt, "geometric").L)
+        d1 = divergence(L, nal_step(state, s, dt, "geometric").L[0])
         predicted = (dt / gamma) * float(u @ s)
         assert abs((d1 - d0) - predicted) <= 1e-4 * abs(predicted)
         # signal aligned with the error grows D; anti-aligned shrinks it
@@ -155,11 +155,15 @@ def test_nal_state_validation():
     bad = np.eye(4)
     bad[0, 1] = 0.5
     with pytest.raises(ValueError, match="symmetric"):
-        NalState(bad, 10.0)
+        NalState.from_pseudo(bad, 10.0)
     with pytest.raises(ValueError, match="gamma"):
-        NalState(np.eye(4), 0.0)
+        NalState.from_pseudo(np.eye(4), 0.0)
     with pytest.raises(ValueError, match="method"):
-        nal_step(NalState(np.eye(4), 1.0), np.zeros(10), 1e-3, "heun")
+        nal_step(NalState.from_pseudo(np.eye(4), 1.0), np.zeros(10), 1e-3, "heun")
+    # the geometric step needs L^1/2 of every estimate of the stack
+    indefinite = np.stack((np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])))
+    with pytest.raises(ValueError, match="lost positive definiteness"):
+        nal_step(NalState.from_pseudo(indefinite, 1.0), np.zeros((2, 10)), 1e-3)
 
 
 def test_projection_interior_step_is_plain_euler():
@@ -220,73 +224,77 @@ def test_link_adapter_wrappers_match_laws():
 
     nal = NalLinkAdapter(phi0, gamma=10.0)
     by_hand = nal_step(NalState.from_params(phi0, 10.0), s, dt, "geometric")
-    nal.update(s, dt)
+    nal.update(s[None], dt)
     assert np.allclose(nal.state.L, by_hand.L, atol=1e-14)
-    assert nal.min_eig() > 0.0
+    assert np.all(nal.min_eig() > 0.0)
 
-    frozen = FrozenAdapter(phi0.as_vector())
+    frozen = FrozenAdapter(phi0.as_vector()[None])
     before = frozen.phi_hat().copy()
-    frozen.update(s, dt)
+    frozen.update(s[None], dt)
     assert np.array_equal(frozen.phi_hat(), before)
 
-    truth = phi0.as_vector()
+    truth = phi0.as_vector()[None]
     proj = ProjectionAdapter.around_truth(truth, 0.5 * truth, rho=10.0)
     assert np.all(proj.state.lower <= truth)
     assert np.all(truth <= proj.state.upper)
-    by_hand_p = projection_step(proj.state, s, dt)
+    by_hand_p = projection_step(proj.state, s[None], dt)
     proj2 = ProjectionAdapter.around_truth(truth, 0.5 * truth, rho=10.0)
-    proj2.update(s, dt)
+    proj2.update(s[None], dt)
     assert np.allclose(proj2.phi_hat(), by_hand_p.theta, atol=0.0)
 
 
 def test_joint_adapter_wrappers_match_laws():
     dt, w_a, err = 1e-3, 2.0, 0.3
 
-    nal = NalJointAdapter(0.05, gamma=10.0)
+    signal = np.array([[w_a * err]])
+
+    nal = NalJointAdapter([0.05], gamma=10.0)
     expected = nal_step_scalar(0.05, w_a * err, 10.0, dt)
-    nal.update(w_a * err, dt)
-    assert nal.phi_hat()[0] == pytest.approx(expected, abs=0.0)
+    nal.update(signal, dt)
+    assert nal.phi_hat()[0, 0] == pytest.approx(expected, abs=0.0)
 
-    frozen = FrozenAdapter([0.02])
-    frozen.update(w_a * err, dt)
-    assert frozen.phi_hat()[0] == 0.02
+    frozen = FrozenAdapter([[0.02]])
+    frozen.update(signal, dt)
+    assert frozen.phi_hat()[0, 0] == 0.02
 
-    proj = ProjectionAdapter(ProjectionState([0.05], [10.0], [0.01], [0.1]))
-    proj.update(w_a * err, dt)
-    assert proj.phi_hat()[0] == pytest.approx(0.05 + dt * 10.0 * w_a * err, abs=1e-15)
+    proj = ProjectionAdapter(ProjectionState([[0.05]], [[10.0]], [[0.01]], [[0.1]]))
+    proj.update(signal, dt)
+    assert proj.phi_hat()[0, 0] == pytest.approx(0.05 + dt * 10.0 * w_a * err, abs=1e-15)
     for _ in range(100):
-        proj.update(w_a * err, dt)
-    assert proj.phi_hat()[0] <= 0.1
+        proj.update(signal, dt)
+    assert proj.phi_hat()[0, 0] <= 0.1
 
 
 @pytest.mark.parametrize("body", ["link", "drive"])
 @pytest.mark.parametrize("law", ["frozen", "nal", "projection"])
 def test_adapter_protocol(law, body):
-    # one method set for every law and body: update(s, dt) is the law's
-    # functional form bit for bit, and distance(truth) vanishes at the truth
+    # one method set for every law and body, over a stack of three bodies:
+    # update(S, dt) is the law's functional form bit for bit, and
+    # distance(truth) vanishes at the truth
     rng = np.random.default_rng(38)
     dt, gamma = 1e-3, 10.0
     if body == "link":
-        params = random_consistent_params(rng)
-        truth, s = params.as_vector(), rng.standard_normal(10)
+        truth = np.array([random_consistent_params(rng).as_vector() for _ in range(3)])
+        S = rng.standard_normal((3, 10))
     else:
-        truth, s = np.array([0.05]), 0.7
+        truth, S = np.array([[0.05], [0.02], [0.1]]), np.array([[0.7], [-0.3], [1.1]])
     if law == "frozen":
         adapter, expected = FrozenAdapter(truth), truth
     elif law == "nal" and body == "link":
-        adapter = NalLinkAdapter(params, gamma)
-        expected = nal_step(NalState.from_params(params, gamma), s, dt).params().as_vector()
+        adapter = NalLinkAdapter(truth, gamma)
+        expected = pseudo_to_vectors(nal_step(NalState.from_params(truth, gamma), S, dt).L)
     elif law == "nal":
-        adapter = NalJointAdapter(truth[0], gamma)
-        expected = [nal_step_scalar(truth[0], s, gamma, dt)]
+        adapter = NalJointAdapter(truth, gamma)
+        expected = nal_step_scalar(truth, S, gamma, dt)
     else:
         state = ProjectionState(truth, np.full(truth.shape, 10.0), truth - 1.0, truth + 1.0)
-        adapter, expected = ProjectionAdapter(state), projection_step(state, s, dt).theta
+        adapter, expected = ProjectionAdapter(state), projection_step(state, S, dt).theta
 
     assert adapter.phi_hat().shape == truth.shape
-    assert adapter.distance(truth) == pytest.approx(0.0, abs=1e-12)
-    assert adapter.distance(1.1 * truth) > 0.0
-    assert adapter.min_eig() > 0.0
-    adapter.update(s, dt)
+    assert adapter.distance(truth) == pytest.approx(np.zeros(3), abs=1e-12)
+    assert np.all(adapter.distance(1.1 * truth) > 0.0)
+    assert adapter.min_eig().shape == (3,)
+    assert np.all(adapter.min_eig() > 0.0)
+    adapter.update(S, dt)
     assert np.array_equal(adapter.phi_hat(), expected)
-    assert adapter.distance(adapter.phi_hat()) == pytest.approx(0.0, abs=1e-12)
+    assert adapter.distance(adapter.phi_hat()) == pytest.approx(np.zeros(3), abs=1e-12)

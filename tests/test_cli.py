@@ -238,3 +238,41 @@ def test_read_run_csv_rejects_garbage(tmp_path):
     path.write_text("# a: 1\nt_s,x\n1.0,nope\n")
     with pytest.raises(ConfigError, match="malformed data"):
         read_run_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('gains: {xi: "25"}', "gains: xi must be a finite number, got '25'"),
+    ("gains: {gamma: .inf}", "gains: gamma must be a finite number, got inf"),
+    ("dt_s: .nan", "dt_s must be positive"),
+    ("duration_s: .inf", "duration_s must be finite"),
+    ("adaptation: {initial_scale: .nan}", "adaptation: initial_scale must be a finite number"),
+    ("adaptation: {nal_integrator: bogus}", "nal_integrator must be 'geometric' or 'euler'"),
+])
+def test_validate_rejects_values_run_would_reject_or_mangle(tmp_path, capsys, text, message):
+    path = tmp_path / "sim.yaml"
+    path.write_text(f"scenario: exo-pose\n{text}\n")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_summary_counts_ticks_outside_the_consistent_set(tmp_path, capsys):
+    sim = _short_sim(tmp_path, "rrr_compare", 0.05)
+    man = _manifest(tmp_path, "rrr-compare", "rrr3.yaml", sim, reps=1, seed=7)
+    assert main(["run", str(man)]) == 0
+    outdir = tmp_path / "out"
+    with open(outdir / "summary.yaml") as fh:
+        summary = yaml.safe_load(fh)
+    reps = {a: summary["adapters"][a]["repetitions"][0] for a in ("nal", "projection")}
+    assert reps["projection"]["ticks_mineig_nonpositive"] > 0
+    assert reps["nal"]["ticks_mineig_nonpositive"] == 0
+    csv = outdir / "rrr_compare_projection_rep0.csv"
+    assert main(["report", str(csv)]) == 0
+    # an edited stored count is a mismatch, compared exactly
+    reps["projection"]["ticks_mineig_nonpositive"] -= 1
+    with open(outdir / "summary.yaml", "w") as fh:
+        yaml.safe_dump(summary, fh, sort_keys=False)
+    capsys.readouterr()
+    assert main(["report", str(csv)]) == 1
+    assert "MISMATCH ticks_mineig_nonpositive" in capsys.readouterr().err

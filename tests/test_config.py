@@ -187,3 +187,17 @@ def test_manifest_overrides_and_relative_paths(tmp_path):
         "robot: bot.yaml\nsim: sim.yaml\noutput_dir: out\nrepetitions: 0\n")
     with pytest.raises(ConfigError, match="repetitions must be at least 1"):
         load_manifest(man_path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('gains: {xi: "25"}', "sim.yaml:gains: xi must be a finite number, got '25'"),
+    ("gains: {gamma: .inf}", "sim.yaml:gains: gamma must be a finite number, got inf"),
+    ("gains: {k_a: .nan}", "sim.yaml:gains: k_a must be a finite number, got nan"),
+    ("gains: {k_b: true}", "sim.yaml:gains: k_b must be a finite number, got True"),
+])
+def test_load_sim_rejects_non_numeric_and_non_finite_gains(tmp_path, text, message):
+    path = tmp_path / "sim.yaml"
+    path.write_text(f"scenario: exo-pose\n{text}\n")
+    with pytest.raises(ConfigError) as info:
+        load_sim(path)
+    assert message in str(info.value)

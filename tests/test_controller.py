@@ -26,14 +26,18 @@ from vdcnal.kinematics import (
     jacobian,
     chain_poses,
 )
-from vdcnal.rigid_body import gravity_wrench
+from oracles import gravity_wrench
 from vdcnal.simulation import forward_dynamics, inverse_dynamics
 
 
 def _frozen_adapters(model):
-    links = [FrozenAdapter(j.link_phi) for j in model.joints]
-    joints = [FrozenAdapter(j.drive_phi) for j in model.joints]
-    return links, joints
+    return FrozenAdapter(model.link_phi), FrozenAdapter(model.drive_phi)
+
+
+def _nal_adapters(model, gains):
+    guess = np.array([initial_link_estimate(j.link).as_vector() for j in model.joints])
+    drives = np.maximum(0.5 * model.drive_phi, 1e-8)
+    return (NalLinkAdapter(guess, gains.gamma), NalJointAdapter(drives, gains.gamma_a))
 
 
 def test_gains_validation_names_offenders():
@@ -46,15 +50,15 @@ def test_gains_validation_names_offenders():
 
 
 def test_propagate_velocities_zero(arm7):
-    vb, vt, vrb, vrt = propagate_velocities(arm7, np.zeros(7), np.zeros(7),
-                                            np.zeros(7))
+    vb, vt, vrb, vrt = propagate_velocities(arm7, chain_poses(arm7, np.zeros(7)),
+                                            np.zeros(7), np.zeros(7))
     for a in (vb, vt, vrb, vrt):
         assert np.allclose(a, 0.0, atol=0.0)
 
 
 def test_propagate_velocities_single_joint(pendulum):
     w = 0.8
-    vb, vt, _, _ = propagate_velocities(pendulum, np.array([0.4]),
+    vb, vt, _, _ = propagate_velocities(pendulum, chain_poses(pendulum, np.array([0.4])),
                                         np.array([w]), np.array([0.0]))
     assert np.allclose(vb[0], [0, 0, 0, 0, 0, w], atol=0.0)
     # tip frame sits 0.5 along the link y-axis
@@ -67,8 +71,8 @@ def test_tip_velocity_matches_jacobian(rrr3, arm7):
         for _ in range(20):
             q = rng.uniform(-1.2, 1.2, model.n)
             qdot = rng.standard_normal(model.n)
-            _, vt, _, vrt = propagate_velocities(model, q, qdot, qdot)
             poses = chain_poses(model, q)
+            _, vt, _, vrt = propagate_velocities(model, poses, qdot, qdot)
             tw = jacobian(model, poses) @ qdot
             Rt = poses.Rt[-1]
             local = np.concatenate((Rt.T @ tw[:3], Rt.T @ tw[3:]))
@@ -86,11 +90,11 @@ def test_propagate_accelerations_matches_finite_differences(arm7):
     def vels(t):
         qt = q + qdot * t + 0.5 * qddot * t * t
         qdt = qdot + qddot * t
-        vb, vt, _, _ = propagate_velocities(arm7, qt, qdt, qdt)
+        vb, vt, _, _ = propagate_velocities(arm7, chain_poses(arm7, qt), qdt, qdt)
         return vb, vt
 
     vb0, vt0 = vels(0.0)
-    ab, at = propagate_accelerations(arm7, q, qdot, qddot, vt0)
+    ab, at = propagate_accelerations(arm7, chain_poses(arm7, q), qdot, qddot, vt0)
     (vb_p, vt_p), (vb_m, vt_m) = vels(h), vels(-h)
     assert np.allclose(ab, (vb_p - vb_m) / (2 * h), atol=1e-6)
     assert np.allclose(at, (vt_p - vt_m) / (2 * h), atol=1e-6)
@@ -109,7 +113,8 @@ def test_link_control_wrench_branches():
 
 
 def test_propagate_forces_zero(rrr3):
-    fb, ft = propagate_forces(rrr3, np.zeros(3), np.zeros((3, 6)), np.zeros(6))
+    fb, ft = propagate_forces(rrr3, chain_poses(rrr3, np.zeros(3)), np.zeros((3, 6)),
+                              np.zeros(6))
     assert np.allclose(fb, 0.0, atol=0.0)
     assert np.allclose(ft, 0.0, atol=0.0)
 
@@ -123,7 +128,7 @@ def test_static_force_sweep_carries_total_weight(rrr3, arm7):
             gravity_wrench(j.link, poses.Rb[i].T, model.gravity)
             for i, j in enumerate(model.joints)
         ])
-        fb, _ = propagate_forces(model, q, net, np.zeros(6))
+        fb, _ = propagate_forces(model, poses, net, np.zeros(6))
         world_force = poses.Rb[0] @ fb[0][:3]
         total = sum(j.link.mass for j in model.joints) * model.gravity
         assert np.allclose(world_force, total, atol=1e-9)
@@ -138,7 +143,7 @@ def test_static_force_sweep_carries_total_weight(rrr3, arm7):
 def test_joint_torque_arithmetic(pendulum):
     fr_b = np.zeros((1, 6))
     fr_b[0, 5] = 1.0  # unit moment on the joint axis
-    tau, tau_star = joint_torques(pendulum, [0.02], 0.1, np.array([1.0]),
+    tau, tau_star = joint_torques(pendulum, np.array([0.02]), 0.1, np.array([1.0]),
                                   np.array([0.7]), np.array([0.2]), fr_b)
     assert tau_star[0] == pytest.approx(0.02 + 0.05, abs=1e-15)
     assert tau[0] == pytest.approx(1.07, abs=1e-15)
@@ -159,8 +164,8 @@ def test_controller_validation(arm7):
         VdcController(arm7, ControllerGains(), ref, links, joints,
                       mode="cartesian")
     with pytest.raises(ValueError, match="adapter"):
-        VdcController(arm7, ControllerGains(), ref, links[:-1], joints,
-                      mode="joint")
+        VdcController(arm7, ControllerGains(), ref, FrozenAdapter(arm7.link_phi[:-1]),
+                      joints, mode="joint")
 
 
 def test_controller_compensates_gravity_at_target(arm7):
@@ -194,10 +199,7 @@ def test_controller_joint_mode_tracking_law(rrr3):
 def test_controller_is_deterministic(arm7):
     def roll():
         gains = ControllerGains()
-        links = [NalLinkAdapter(initial_link_estimate(j.link), gains.gamma)
-                 for j in arm7.joints]
-        joints = [NalJointAdapter(max(0.5 * j.motor_inertia, 1e-8), gains.gamma_a)
-                  for j in arm7.joints]
+        links, joints = _nal_adapters(arm7, gains)
         chi0 = forward_kinematics(arm7, np.full(7, 0.2)).as_vector()
         chif = chi0 + np.array([0.1, -0.05, 0.05, 0, 0, 0])
         ctl = VdcController(arm7, gains, CartesianQuinticReference(chi0, chif, 2.0),
@@ -219,10 +221,7 @@ def test_stability_diagnostics_structure(arm7):
     q = rng.uniform(-0.6, 0.6, 7)
     qdot = 0.3 * rng.standard_normal(7)
     gains = ControllerGains()
-    links = [NalLinkAdapter(initial_link_estimate(j.link), gains.gamma)
-             for j in arm7.joints]
-    joints = [NalJointAdapter(max(0.5 * j.motor_inertia, 1e-8), gains.gamma_a)
-              for j in arm7.joints]
+    links, joints = _nal_adapters(arm7, gains)
     chi0 = forward_kinematics(arm7, q).as_vector()
     ref = CartesianQuinticReference(chi0, chi0 + 0.05, 2.0)
     ctl = VdcController(arm7, gains, ref, links, joints)

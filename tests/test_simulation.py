@@ -1,13 +1,15 @@
 """Plant dynamics, integrators, the scenario runner, and its statistics."""
+import collections
+
 import numpy as np
 import pytest
 
 import vdcnal.simulation as simulation
 from conftest import pendulum_accel, zero_gravity_clone
-from oracles import coriolis_matrix_original
+from oracles import coriolis_matrix_original, gravity_wrench
 from vdcnal.config import builtin_config_path, load_robot, load_sim
 from vdcnal.kinematics import chain_poses, jacobian
-from vdcnal.rigid_body import gravity_wrench, mass_matrix
+from vdcnal.rigid_body import mass_matrix
 from vdcnal.spatial import axis_rotation, cross3, skew
 from vdcnal.simulation import (
     AdaptationSpec,
@@ -179,6 +181,31 @@ def test_rk4_run_solves_the_plant_four_times_per_tick(arm7, monkeypatch):
     log = run_scenario(arm7, cfg, repetition=0)
     assert log.data.shape[0] == 10
     assert len(calls) == 4 * 10
+
+
+def test_nal_tick_decomposes_twice(arm7, monkeypatch):
+    # an arm7 natural-law tick runs two batched eigh calls (the step's
+    # exponent and its new estimate) and no eigvalsh or slogdet; ticks 11-20
+    # are counted as the difference of a 20-tick and a 10-tick run, so set-up
+    # work (model validation, the truth side of the monitor) drops out
+    counts = collections.Counter()
+    for name in ("eigh", "eigvalsh", "slogdet"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = load_sim(builtin_config_path("exo_pose"))
+    assert cfg.adapter == "nal"
+    runs = {}
+    for ticks in (10, 20):
+        cfg.duration_s = ticks * cfg.dt_s
+        counts.clear()
+        assert run_scenario(arm7, cfg, repetition=0).data.shape[0] == ticks
+        runs[ticks] = dict(counts)
+    per_tick = {name: (runs[20].get(name, 0) - runs[10].get(name, 0)) / 10
+                for name in ("eigh", "eigvalsh", "slogdet")}
+    assert per_tick["eigh"] <= 2
+    assert per_tick["eigvalsh"] == 0 and per_tick["slogdet"] == 0
 
 
 def _potential(model, q):
@@ -390,17 +417,16 @@ def test_adapter_factories(arm7):
     from vdcnal.adaptation import (FrozenAdapter, NalJointAdapter, NalLinkAdapter,
                                    ProjectionAdapter)
     links, joints = make_adapters(arm7, "nal", gains, spec)
-    assert all(isinstance(a, NalLinkAdapter) for a in links)
-    assert links[0].phi_hat()[0] == pytest.approx(0.5 * arm7.joints[0].link.mass)
-    assert all(isinstance(a, NalJointAdapter) for a in joints)
+    assert isinstance(links, NalLinkAdapter)
+    assert links.phi_hat()[0, 0] == pytest.approx(0.5 * arm7.joints[0].link.mass)
+    assert isinstance(joints, NalJointAdapter)
     links, joints = make_adapters(arm7, "projection", gains, spec)
-    assert all(isinstance(a, ProjectionAdapter) for a in links + joints)
-    for a, b, j in zip(links, joints, arm7.joints):
-        for adapter, truth in ((a, j.link.as_vector()), (b, [j.motor_inertia])):
-            assert np.all(adapter.state.lower <= truth) and np.all(truth <= adapter.state.upper)
+    assert isinstance(links, ProjectionAdapter) and isinstance(joints, ProjectionAdapter)
+    for adapter, truth in ((links, arm7.link_phi), (joints, arm7.drive_phi)):
+        assert np.all(adapter.state.lower <= truth) and np.all(truth <= adapter.state.upper)
     links, joints = make_adapters(arm7, "none", gains, spec)
-    assert all(isinstance(a, FrozenAdapter) for a in links + joints)
-    assert [a.phi_hat()[0] for a in joints] == [j.motor_inertia for j in arm7.joints]
+    assert isinstance(links, FrozenAdapter) and isinstance(joints, FrozenAdapter)
+    assert list(joints.phi_hat()[:, 0]) == [j.motor_inertia for j in arm7.joints]
     with pytest.raises(ValueError, match="unknown adapter"):
         make_adapters(arm7, "fancy", gains, spec)
 

@@ -1,0 +1,105 @@
+"""The stacked control-tick code against the per-link code it replaced.
+
+Each check runs 200 random states of arm7, rrr3 and the one-joint pendulum
+(which catches n = 1 shape slips) and asks |a - b| <= 1e-12 (1 + |b|) entry
+by entry, a the stacked result and b the per-link oracle's.
+"""
+import numpy as np
+import pytest
+
+from conftest import random_consistent_params
+from oracles import (
+    assemble_matrices,
+    nal_step_per_link,
+    net_wrench,
+    propagate_accelerations_per_link,
+    propagate_forces_per_link,
+    propagate_velocities_per_link,
+    regressor_per_body,
+)
+from vdcnal.adaptation import NalLinkAdapter, NalState, nal_step
+from vdcnal.controller import propagate_accelerations, propagate_forces, propagate_velocities
+from vdcnal.kinematics import chain_poses
+from vdcnal.manifold import params_to_pseudo
+from vdcnal.rigid_body import body_wrenches, mass_matrix, regressor
+
+STATES = 200
+
+
+@pytest.fixture(params=["arm7", "rrr3", "pendulum"])
+def model(request):
+    return request.getfixturevalue(request.param)
+
+
+def _assert_close(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
+
+
+def _chain_states(model, seed):
+    """Per state: q, poses, the actual-set sweeps (oracle) and a random joint acceleration."""
+    rng = np.random.default_rng(seed)
+    for _ in range(STATES):
+        q = rng.uniform(-np.pi, np.pi, model.n)
+        qd, qd_r, qdd = rng.standard_normal((3, model.n))
+        yield rng, q, chain_poses(model, q), qd, qd_r, qdd
+
+
+def test_sweeps_match_per_link_sweeps(model):
+    for rng, q, poses, qd, qd_r, qdd in _chain_states(model, 70):
+        velocities = propagate_velocities_per_link(model, q, qd, qd_r)
+        for got, want in zip(propagate_velocities(model, poses, qd, qd_r), velocities):
+            _assert_close(got, want)
+        vt = velocities[1]
+        for got, want in zip(propagate_accelerations(model, poses, qd, qdd, vt),
+                             propagate_accelerations_per_link(model, q, qd, qdd, vt)):
+            _assert_close(got, want)
+        net, tip = rng.standard_normal((model.n, 6)), rng.standard_normal(6)
+        for got, want in zip(propagate_forces(model, poses, net, tip),
+                             propagate_forces_per_link(model, q, net, tip)):
+            _assert_close(got, want)
+
+
+def test_regressor_and_body_wrenches_match_per_body_forms(model):
+    mass = np.array([mass_matrix(j.link) for j in model.joints])
+    for _, q, poses, qd, _, qdd in _chain_states(model, 71):
+        vb, vt, _, _ = propagate_velocities_per_link(model, q, qd, qd)
+        ab, _ = propagate_accelerations_per_link(model, q, qd, qdd, vt)
+        R_AI = np.swapaxes(poses.Rb, 1, 2)
+        _assert_close(regressor(ab, vb, R_AI, model.gravity),
+                      [regressor_per_body(ab[i], vb[i], R_AI[i], model.gravity)
+                       for i in range(model.n)])
+        _assert_close(body_wrenches(mass, ab, vb, R_AI, model.gravity),
+                      [net_wrench(assemble_matrices(j.link, vb[i, 3:], R_AI[i], model.gravity),
+                                  ab[i], vb[i]) for i, j in enumerate(model.joints)])
+
+
+@pytest.mark.parametrize("method", ["geometric", "euler"])
+def test_nal_step_matches_per_link_step(model, method):
+    rng = np.random.default_rng(72)
+    dt, gamma = 1e-3, 10.0
+    for _ in range(STATES):
+        L = params_to_pseudo([random_consistent_params(rng).as_vector()
+                              for _ in range(model.n)])
+        s = 10.0 * rng.standard_normal((model.n, 10))
+        got = nal_step(NalState.from_pseudo(L, gamma), s, dt, method).L
+        _assert_close(got, [nal_step_per_link(L[i], s[i], gamma, dt, method)
+                            for i in range(model.n)])
+
+
+def test_carried_decomposition_stays_the_estimate(model):
+    # after every update the carried (w, Q) reproduces L, and min_eig() is
+    # the smallest eigenvalue an independent eigvalsh finds
+    rng = np.random.default_rng(73)
+    phi0 = np.array([random_consistent_params(rng).as_vector() for _ in range(model.n)])
+    adapter = NalLinkAdapter(phi0, gamma=10.0)
+    for k in range(STATES):
+        adapter.update((10.0 if k % 2 == 0 else -10.0) * rng.standard_normal((model.n, 10)),
+                       1e-3)
+        state = adapter.state
+        scale = np.max(np.abs(state.L), axis=(1, 2))[:, None, None]
+        rebuilt = (state.Q * state.w[:, None, :]) @ np.swapaxes(state.Q, 1, 2)
+        assert np.all(np.abs(rebuilt - state.L) <= 1e-14 * scale)
+        independent = np.linalg.eigvalsh(state.L)[:, 0]
+        assert np.all(np.abs(adapter.min_eig() - independent) <= 1e-14 * scale[:, 0, 0])
