@@ -9,6 +9,7 @@ origin.  Loaders raise ConfigError with the file and the offending key;
 """
 from __future__ import annotations
 
+import math
 import pathlib
 from dataclasses import dataclass, fields
 
@@ -19,7 +20,7 @@ from .controller import ControllerGains
 from .kinematics import Joint, Pose, RobotModel
 from .rigid_body import GRAVITY, InertialParams
 from .simulation import AdaptationSpec, DisturbanceSpec, SimConfig, TrajectorySpec
-from .spatial import FrameTransform, euler_xyz_to_rotation, quat_from_rotation
+from .spatial import FrameTransform, euler_xyz_to_rotation
 
 _CONFIG_DIR = pathlib.Path(__file__).resolve().parent / "configs"
 
@@ -69,11 +70,55 @@ def _need(node: dict, key: str, where: str):
     return node[key]
 
 
-def _vec(node, key: str, where: str, length: int) -> np.ndarray:
-    v = np.asarray(_need(node, key, where), dtype=float)
-    if v.shape != (length,):
-        raise ConfigError(f"{where}: {key} must have {length} entries")
-    return v
+def _only(node, keys, where: str) -> dict:
+    """``node`` if it is a mapping with no key outside ``keys``."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: must be a mapping")
+    extra = set(node) - set(keys)
+    if extra:
+        raise ConfigError(f"{where}: unknown keys {sorted(extra, key=str)}")
+    return node
+
+
+def _finite(value) -> bool:
+    """A YAML number (int or float, not a bool) of finite value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:               # an int beyond the float range
+        return False
+
+
+def _number(node, key: str, where: str) -> float:
+    value = _need(node, key, where)
+    if not _finite(value):
+        raise ConfigError(f"{where}: {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(node, key: str, default: int, where: str) -> int:
+    value = node.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(node, key: str, default: float, where: str) -> float:
+    """A number, finite or not: the sim file's own checks judge its value."""
+    value = node.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _vec(node, key: str, where: str, length: int | None) -> np.ndarray:
+    value = _need(node, key, where)
+    if not (isinstance(value, list) and length in (None, len(value))
+            and all(map(_finite, value))):
+        raise ConfigError(f"{where}: {key} must be a list of {length or 'any number of'} "
+                          f"finite numbers, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 def _transform(node: dict, rot_key: str, off_key: str, where: str) -> FrameTransform:
@@ -82,43 +127,58 @@ def _transform(node: dict, rot_key: str, off_key: str, where: str) -> FrameTrans
     return FrameTransform(euler_xyz_to_rotation(*angles), offset)
 
 
+_ROBOT_KEYS = ("name", "gravity_mps2", "base", "joints", "home_pose")
+_JOINT_KEYS = ("name", "axis", "motor_inertia_kgm2", "tip_offset_m", "tip_rotation_xyz_rad",
+               "link", "limit_rad")
+_LINK_KEYS = ("mass_kg", "com_m", "inertia_com_kgm2")
+
+
 def load_robot(path) -> RobotModel:
-    """Read a robot description file and return the validated model."""
+    """Read a robot description file and return the validated model.
+
+    Unknown keys are rejected at every level, and every number must be finite.
+    """
     path = pathlib.Path(path)
-    doc = _load_yaml(path)
+    doc = _only(_load_yaml(path), _ROBOT_KEYS, str(path))
     name = _need(doc, "name", str(path))
     gravity = _vec(doc, "gravity_mps2", str(path), 3) if "gravity_mps2" in doc \
         else np.asarray(GRAVITY)
-    base = _transform(doc.get("base", {}), "rotation_xyz_rad", "position_m",
-                      f"{path}:base")
+    base = _transform(_only(doc.get("base", {}), ("rotation_xyz_rad", "position_m"),
+                            f"{path}:base"), "rotation_xyz_rad", "position_m", f"{path}:base")
 
+    jnodes = _need(doc, "joints", str(path))
+    if not (isinstance(jnodes, list) and jnodes):
+        raise ConfigError(f"{path}: joints must be a non-empty list, got {jnodes!r}")
     joints = []
-    for idx, jnode in enumerate(_need(doc, "joints", str(path)), start=1):
+    for idx, jnode in enumerate(jnodes, start=1):
         where = f"{path}:joints[{idx}]"
+        jnode = _only(jnode, _JOINT_KEYS, where)
         jname = jnode.get("name", f"joint{idx}")
         axis = _need(jnode, "axis", where)
         if axis not in ("x", "y", "z"):
             raise ConfigError(f"{where}: axis must be 'x', 'y' or 'z'")
-        lnode = _need(jnode, "link", where)
-        mass = float(_need(lnode, "mass_kg", f"{where}.link"))
+        lnode = _only(_need(jnode, "link", where), _LINK_KEYS, f"{where}.link")
+        mass = _number(lnode, "mass_kg", f"{where}.link")
         com = _vec(lnode, "com_m", f"{where}.link", 3)
-        ivec = _vec(lnode, "inertia_com_kgm2", f"{where}.link", 6)
-        xx, yy, zz, xy, yz, xz = ivec
+        xx, yy, zz, xy, yz, xz = _vec(lnode, "inertia_com_kgm2", f"{where}.link", 6)
         inertia_com = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
-        link = InertialParams.from_com(mass, com, inertia_com)
-        limit = jnode.get("limit_rad", (-np.pi, np.pi))
-        joints.append(Joint(
-            name=jname, axis=axis,
-            motor_inertia=float(_need(jnode, "motor_inertia_kgm2", where)),
-            tip=_transform(jnode, "tip_rotation_xyz_rad", "tip_offset_m", where),
-            link=link, limit=(float(limit[0]), float(limit[1]))))
+        limit = _vec(jnode, "limit_rad", where, 2) if "limit_rad" in jnode \
+            else (-np.pi, np.pi)
+        motor = _number(jnode, "motor_inertia_kgm2", where)
+        tip = _transform(jnode, "tip_rotation_xyz_rad", "tip_offset_m", where)
+        try:
+            joints.append(Joint(name=jname, axis=axis, motor_inertia=motor, tip=tip,
+                                link=InertialParams.from_com(mass, com, inertia_com),
+                                limit=(float(limit[0]), float(limit[1]))))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
 
     home = None
     if "home_pose" in doc:
-        hnode = doc["home_pose"]
+        hnode = _only(doc["home_pose"], ("position_m", "euler_xyz_rad"), f"{path}:home_pose")
         angles = _vec(hnode, "euler_xyz_rad", f"{path}:home_pose", 3)
-        home = Pose(_vec(hnode, "position_m", f"{path}:home_pose", 3),
-                    quat_from_rotation(euler_xyz_to_rotation(*angles)))
+        home = Pose.from_rotation(_vec(hnode, "position_m", f"{path}:home_pose", 3),
+                                  euler_xyz_to_rotation(*angles))
 
     model = RobotModel(name=name, joints=tuple(joints), base=base,
                        gravity=gravity, home_pose=home)
@@ -130,12 +190,7 @@ def load_robot(path) -> RobotModel:
 
 def _known_keys(spec, node, where: str) -> dict:
     """``node`` as keyword arguments of dataclass ``spec``; other keys are rejected."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where}: must be a mapping")
-    extra = set(node) - {f.name for f in fields(spec)}
-    if extra:
-        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-    return node
+    return _only(node, [f.name for f in fields(spec)], where)
 
 
 def load_sim(path) -> SimConfig:
@@ -146,9 +201,7 @@ def load_sim(path) -> SimConfig:
     def section(key, spec) -> dict:
         node = _known_keys(spec, doc.get(key, {}), f"{path}:{key}")
         for name, value in node.items():    # a number wherever the spec holds a float
-            if isinstance(getattr(spec, name), float) and not (
-                    isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and np.isfinite(value)):
+            if isinstance(getattr(spec, name), float) and not _finite(value):
                 raise ConfigError(f"{path}:{key}: {name} must be a finite number, "
                                   f"got {value!r}")
         return node
@@ -158,23 +211,23 @@ def load_sim(path) -> SimConfig:
     tnode = dict(section("trajectory", TrajectorySpec))
     for key in ("target_position_m", "target_euler_xyz_rad"):
         if key in tnode:
-            tnode[key] = tuple(float(x) for x in tnode[key])
+            tnode[key] = tuple(_vec(tnode, key, f"{path}:trajectory", 3).tolist())
     trajectory = TrajectorySpec(**tnode)
     adaptation = AdaptationSpec(**section("adaptation", AdaptationSpec))
 
     cfg = SimConfig(
         scenario=doc.get("scenario", "exo-pose"),
-        dt_s=float(doc.get("dt_s", 1e-3)),
-        duration_s=float(doc.get("duration_s", 6.0)),
+        dt_s=_real(doc, "dt_s", 1e-3, str(path)),
+        duration_s=_real(doc, "duration_s", 6.0, str(path)),
         integrator=doc.get("integrator", "semi_implicit"),
         adapter=doc.get("adapter", "nal"),
-        seed=int(doc.get("seed", 0)),
-        repetitions=int(doc.get("repetitions", 1)),
-        transient_cutoff_s=float(doc.get("transient_cutoff_s", 2.0)),
-        initial_q_rad=(tuple(float(x) for x in doc["initial_q_rad"])
+        seed=_integer(doc, "seed", 0, str(path)),
+        repetitions=_integer(doc, "repetitions", 1, str(path)),
+        transient_cutoff_s=_real(doc, "transient_cutoff_s", 2.0, str(path)),
+        initial_q_rad=(tuple(_vec(doc, "initial_q_rad", str(path), None).tolist())
                        if doc.get("initial_q_rad") is not None else None),
-        initial_q_perturb_rad=float(doc.get("initial_q_perturb_rad", 0.1)),
-        joint_tracking_gain=(float(doc["joint_tracking_gain"])
+        initial_q_perturb_rad=_real(doc, "initial_q_perturb_rad", 0.1, str(path)),
+        joint_tracking_gain=(_real(doc, "joint_tracking_gain", None, str(path))
                              if doc.get("joint_tracking_gain") is not None else None),
         gains=gains, disturbance=disturbance, trajectory=trajectory,
         adaptation=adaptation)
@@ -218,10 +271,12 @@ def load_manifest(path, output_override=None) -> ExperimentManifest:
                               else _need(doc, "output_dir", str(path)))
     cfg = load_sim(sim_path)
     cfg.scenario = doc.get("scenario", cfg.scenario)
-    cfg.repetitions = int(doc.get("repetitions", cfg.repetitions))
-    cfg.seed = int(doc.get("seed", cfg.seed))
+    cfg.repetitions = _integer(doc, "repetitions", cfg.repetitions, str(path))
+    cfg.seed = _integer(doc, "seed", cfg.seed, str(path))
     if cfg.repetitions < 1:
         raise ConfigError(f"{path}: repetitions must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"{path}: seed must be >= 0")
     model = load_robot(robot_path)
     problems = cfg.validate(model)
     if problems:

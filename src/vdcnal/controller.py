@@ -2,28 +2,36 @@
 
 One control tick works on (n, ...) stacks along the chain and does, in order:
 
-1. the chain poses, which keep each joint rotation for the sweeps below;
-   required joint velocities, either from closed-loop inverse kinematics
-   (task mode) or from a joint-space reference (joint mode); required joint
-   accelerations by backward differencing at the control period (first tick
-   zero);
-2. a base-to-tip sweep carrying the actual and required spatial velocity of
-   every link frame together as one 6x2 block, then one for the required
-   spatial accelerations (the transform rates use the measured joint rates);
-3. the (n, 6, 10) regressor in one build, and the required net wrenches
+1. the chain poses: the joint rotations, gathered in one batch from a cos/sin
+   table, the frame poses, and the chain operator X, the 6n x 6n block
+   lower-triangular matrix whose block (i, k) is the velocity transform
+   X_{B_i <- B_k} (identity on the diagonal);
+2. required joint velocities, either from closed-loop inverse kinematics on
+   the pose error (task mode: the measured tip quaternion comes from the last
+   frame rotation, the desired one from the reference's rotation) or from a
+   joint-space reference (joint mode, which builds no quaternion); required
+   joint accelerations by backward differencing at the control period (first
+   tick zero);
+3. the base-to-tip sweep of the actual and required velocities together, one
+   product of X with the joint rates, and the acceleration sweep, one product
+   of X with the per-link drive terms (the transform rates use the measured
+   joint rates); T-frame values follow from one batched tip-map product;
+4. the (n, 6, 10) regressor in one build, and the required net wrenches
    W phi_hat + K_B (V_r - V) in one product;
-4. a tip-to-base sweep accumulating required wrenches through the joints
-   (zero required wrench at the tip);
-5. tau = I_hat qddot_r + k_a (qdot_r - qdot) + kappa' F_r for every joint;
-6. one update of the link adapter with S = W' (V_r - V), (n, 10), and one of
+5. the tip-to-base force sweep, one product of X' with the required net
+   wrenches (zero required wrench at the tip);
+6. tau = I_hat qddot_r + k_a (qdot_r - qdot) + kappa' F_r for every joint;
+7. one update of the link adapter with S = W' (V_r - V), (n, 10), and one of
    the drive adapter with its (n, 1) scalar analog.
 
-The only per-link loops left are the sweeps' recursions; every per-model
-constant they read (selector slots, tip maps) is built once with the model.
+No step loops over the links: the only product that runs along the chain is
+the frame rotations' in ``chain_poses``, and every per-model constant (axis
+slots, tip maps, rotation patterns) is built once with the model.
 Every quantity a stability monitor needs (velocity/force pairs at both frames
 of every link) is kept in the returned snapshot; the simulation harness adds
-the measured-side force sweep, which needs the true parameters and the joint
-accelerations and therefore lives outside the control path.
+the measured-side acceleration and force sweeps with the same operator, which
+need the true parameters and the joint accelerations and therefore live
+outside the control path.
 """
 from __future__ import annotations
 
@@ -34,7 +42,7 @@ import numpy as np
 from .kinematics import (ChainPoses, Pose, RobotModel, chain_poses, clik_required_velocity,
                          jacobian, pose_error)
 from .rigid_body import body_wrenches, mass_matrix, regressor
-from .spatial import quat_from_rotation, skew
+from .spatial import rotation_to_euler_xyz
 
 
 @dataclass(frozen=True)
@@ -62,17 +70,12 @@ def propagate_velocities(model: RobotModel, poses: ChainPoses, qdot, qdot_r):
     together as one 6x2 block [V | V_r] per frame.
 
     Returns (vb, vt, vrb, vrt), each (n, 6), expressed in the local frames.
-    The base frame is stationary, so both sweeps start from zero.
+    The base frame is stationary, so a B-frame velocity is the chain operator
+    applied to the joint rates, each entered at its axis slot.
     """
     n = model.n
-    rates = np.stack((qdot, qdot_r), axis=1)
-    B, T = np.empty((2, n, 6, 2))
-    X = np.zeros((6, 2))
-    for i in range(n):
-        X = (poses.Rj[i].T @ X.reshape(2, 3, 2)).reshape(6, 2)
-        X[model.slots[i]] += rates[i]
-        B[i] = X
-        X = T[i] = model.tip_velocity[i] @ X
+    B = (poses.X[:, model.columns] @ np.stack((qdot, qdot_r), axis=1)).reshape(n, 6, 2)
+    T = model.tip_velocity @ B
     return B[:, :, 0], T[:, :, 0], B[:, :, 1], T[:, :, 1]
 
 
@@ -83,22 +86,18 @@ def propagate_accelerations(model: RobotModel, poses: ChainPoses, qdot, qddot, v
     differentiated (required or actual); ``vt_chain`` are that set's T-frame
     velocities.  The joint-transform rate always uses the measured rates
     ``qdot`` because the frames move with the actual mechanism, so its term
-    -qdot_i k x (R_i' V_T,i-1) is known for every link before the sweep.
-    Returns (ab, at), each (n, 6).
+    -qdot_i k x (R_i' V_T,i-1) is known for every link before the sweep,
+    which is then the chain operator applied to it.  Returns (ab, at), each
+    (n, 6).
     """
     n = model.n
     inflow = np.zeros((n, 2, 3))
     inflow[1:] = np.reshape(vt_chain[:-1], (n - 1, 2, 3))
     # rows R_i' v, then k_i x (R_i' v), for the linear and angular halves
-    turned = (inflow @ poses.Rj) @ np.swapaxes(skew(model.axes), 1, 2)
-    drive = (-qdot[:, None, None] * turned).reshape(n, 6)
+    drive = (-qdot[:, None, None] * ((inflow @ poses.Rj) @ model.axis_cross)).reshape(n, 6)
     drive[np.arange(n), model.slots] += qddot
-    ab, at = np.empty((2, n, 6))
-    a = np.zeros(6)
-    for i in range(n):
-        a = ab[i] = (a.reshape(2, 3) @ poses.Rj[i]).reshape(6) + drive[i]
-        a = at[i] = model.tip_velocity[i] @ a
-    return ab, at
+    ab = (poses.X @ drive.reshape(6 * n)).reshape(n, 6)
+    return ab, (model.tip_velocity @ ab[:, :, None])[:, :, 0]
 
 
 def link_control_wrench(W, phi_hat, k_b, v_r, v) -> np.ndarray:
@@ -112,15 +111,17 @@ def propagate_forces(model: RobotModel, poses: ChainPoses, net_b, tip):
     """Tip-to-base force sweep; ``tip`` is the wrench passed on at T_n.
 
     Returns (fb, ft), each (n, 6): fb[j] = U(tip_j) ft[j] + net_b[j] and
-    ft[j-1] = U(joint_j) fb[j].
+    ft[j-1] = U(joint_j) fb[j], that is fb = X' net_b with the tip wrench
+    moved into B_n and added to the last link's load.
     """
     n = model.n
-    fb, ft = np.empty((2, n, 6))
-    f = np.asarray(tip, dtype=float)
-    for j in range(n - 1, -1, -1):
-        ft[j] = f
-        fb[j] = model.tip_wrench[j] @ f + net_b[j]
-        f = (fb[j].reshape(2, 3) @ poses.Rj[j].T).reshape(6)
+    tip = np.asarray(tip, dtype=float)
+    load = np.array(net_b, dtype=float)
+    load[-1] += model.tip_wrench[-1] @ tip
+    fb = (load.reshape(6 * n) @ poses.X).reshape(n, 6)
+    ft = np.empty((n, 6))
+    ft[-1] = tip
+    ft[:-1] = (fb[1:].reshape(n - 1, 2, 3) @ np.swapaxes(poses.Rj[1:], 1, 2)).reshape(n - 1, 6)
     return fb, ft
 
 
@@ -141,7 +142,6 @@ class StepSnapshot:
 
     t: float
     poses: ChainPoses
-    pose: Pose
     chi: np.ndarray
     chi_d: np.ndarray
     err: np.ndarray            # [e_p, e_o] in task mode, q_d - q in joint mode
@@ -188,14 +188,13 @@ class VdcController:
         q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
         poses = chain_poses(model, q)
-        pose = Pose(poses.pt[-1], quat_from_rotation(poses.Rt[-1]))
-        chi = pose.as_vector()
+        chi = np.concatenate((poses.pt[-1], rotation_to_euler_xyz(poses.Rt[-1])))
 
         if self.mode == "task":
             pose_d, vel_d = self.reference.desired(t)
-            J = jacobian(model, poses)
-            qdot_r = clik_required_velocity(J, pose, pose_d, vel_d, g.xi, g.clik_damping)
-            err = pose_error(pose, pose_d)
+            err = pose_error(Pose.from_rotation(poses.pt[-1], poses.Rt[-1]), pose_d)
+            qdot_r = clik_required_velocity(jacobian(model, poses), err, vel_d, g.xi,
+                                            g.clik_damping)
             chi_d = pose_d.as_vector()
         else:
             q_d, qd_d = self.reference.desired(t)
@@ -221,7 +220,7 @@ class VdcController:
         self.joint_adapters.update((qddot_r * (qdot_r - qdot))[:, None], self.dt)
         min_eigs = self.link_adapters.min_eig()
 
-        snap = StepSnapshot(t, poses, pose, chi, chi_d, err, qdot_r, qddot_r,
+        snap = StepSnapshot(t, poses, chi, chi_d, err, qdot_r, qddot_r,
                             vb, vt, vrb, vrt, fr_b, fr_t, tau, tau_star, min_eigs)
         return tau, snap
 

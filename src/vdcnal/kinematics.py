@@ -15,12 +15,13 @@ quantities always use the true angular velocity, never Euler rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .rigid_body import InertialParams
-from .spatial import (FrameTransform, UnitQuaternion, axis_rotation, axis_vector, cross3,
-                      euler_xyz_rate_matrix, euler_xyz_to_rotation, quat_from_rotation,
+from .spatial import (FrameTransform, UnitQuaternion, axis_rotation_pattern, axis_vector,
+                      cross3, euler_xyz_rate_matrix, euler_xyz_to_rotation, quat_from_rotation,
                       rotation_to_euler_xyz, skew, transform_velocity_raw, transform_wrench_raw)
 
 # selector slots: linear part first, angular part last
@@ -63,6 +64,8 @@ class Joint:
 class Pose:
     position: np.ndarray
     orientation: UnitQuaternion
+    # the rotation matrix the pose was made from, or else the orientation's
+    rotation: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.array(self.position, dtype=float)
@@ -70,11 +73,19 @@ class Pose:
             raise ValueError("position must be a 3-vector")
         p.setflags(write=False)
         object.__setattr__(self, "position", p)
+        R = (self.orientation.rotation() if self.rotation is None
+             else np.asarray(self.rotation, dtype=float).view())
+        R.setflags(write=False)
+        object.__setattr__(self, "rotation", R)
+
+    @classmethod
+    def from_rotation(cls, position, R) -> "Pose":
+        """Pose with the quaternion of rotation ``R``, keeping ``R`` itself."""
+        return cls(position, quat_from_rotation(R), R)
 
     def as_vector(self) -> np.ndarray:
         """chi = [p, euler_xyz] (used for logs and trajectory endpoints)."""
-        return np.concatenate((self.position,
-                               rotation_to_euler_xyz(self.orientation.rotation())))
+        return np.concatenate((self.position, rotation_to_euler_xyz(self.rotation)))
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,14 @@ class RobotModel:
     # per-joint constants stacked along the chain, read-only, built once; the
     # true parameters are shaped as the link and drive adapters' estimates
     slots: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
     axes: np.ndarray = field(init=False, repr=False, compare=False)
+    axis_cross: np.ndarray = field(init=False, repr=False, compare=False)
+    rotation_index: np.ndarray = field(init=False, repr=False, compare=False)
+    tip_R: np.ndarray = field(init=False, repr=False, compare=False)
+    tip_r: np.ndarray = field(init=False, repr=False, compare=False)
+    chain_lower: np.ndarray = field(init=False, repr=False, compare=False)
+    chain_eye: np.ndarray = field(init=False, repr=False, compare=False)
     tip_velocity: np.ndarray = field(init=False, repr=False, compare=False)
     tip_wrench: np.ndarray = field(init=False, repr=False, compare=False)
     link_phi: np.ndarray = field(init=False, repr=False, compare=False)
@@ -99,10 +117,23 @@ class RobotModel:
             raise ValueError("gravity must be a 3-vector")
         joints = tuple(self.joints)
         n, unit = len(joints), np.eye(6)
+        slots = np.array([_AXIS_SLOT[j.axis] for j in joints], dtype=int)
+        axes = np.array([j.axis_unit for j in joints]).reshape(n, 3)
+        # entry (i, a, b) of joint i's rotation is row pattern[a, b] of the
+        # (5, n) table of values, column i
+        pattern = np.array([axis_rotation_pattern(j.axis) for j in joints], dtype=int)
+        blocks = np.arange(n)
         stacks = {
             "gravity": g,
-            "slots": np.array([_AXIS_SLOT[j.axis] for j in joints], dtype=int),
-            "axes": np.array([j.axis_unit for j in joints]).reshape(n, 3),
+            "slots": slots,
+            "columns": 6 * blocks + slots,
+            "axes": axes,
+            "axis_cross": np.swapaxes(skew(axes), 1, 2),
+            "rotation_index": pattern.reshape(n, 3, 3) * n + blocks[:, None, None],
+            "tip_R": np.array([j.tip.R for j in joints]).reshape(n, 3, 3),
+            "tip_r": np.array([j.tip.r for j in joints]).reshape(n, 3),
+            "chain_lower": np.kron(blocks[:, None] > blocks[None, :], np.ones((6, 6))) > 0,
+            "chain_eye": np.eye(6 * n),
             "tip_velocity": np.array([[transform_velocity_raw(j.tip.R, j.tip.r, e) for e in unit]
                                       for j in joints]).reshape(n, 6, 6).transpose(0, 2, 1),
             "tip_wrench": np.array([[transform_wrench_raw(j.tip.R, j.tip.r, e) for e in unit]
@@ -119,6 +150,15 @@ class RobotModel:
     @property
     def n(self) -> int:
         return len(self.joints)
+
+    def joint_rotations(self, q) -> np.ndarray:
+        """(n, 3, 3) rotations T_{i-1} -> B_i at ``q``, gathered from one cos/sin table."""
+        table = np.empty((5, self.n))
+        table[0], table[1] = 0.0, 1.0
+        np.cos(q, out=table[2])
+        np.sin(q, out=table[3])
+        np.negative(table[3], out=table[4])
+        return table.take(self.rotation_index)
 
     def validate(self) -> list[str]:
         """Model-level checks; returns human-readable problem descriptions."""
@@ -140,8 +180,14 @@ class RobotModel:
 
 @dataclass(frozen=True)
 class ChainPoses:
-    """World pose of every frame: base (T_0), then B_i and T_i per link, and
-    the joint rotations T_{i-1} -> B_i the sweeps read."""
+    """World pose of every frame: base (T_0), then B_i and T_i per link; the
+    joint rotations T_{i-1} -> B_i; and the chain operator the sweeps apply.
+
+    The chain operator X is 6n x 6n and block lower triangular: block (i, k)
+    is the velocity transform X_{B_i <- B_k} for k <= i, with the diagonal
+    blocks exactly I6.  A base-to-tip sweep of per-link inputs u is X u, and
+    a tip-to-base force sweep of per-link loads is X' f.
+    """
 
     R0: np.ndarray
     p0: np.ndarray
@@ -150,33 +196,37 @@ class ChainPoses:
     Rt: np.ndarray
     pt: np.ndarray
     Rj: np.ndarray      # (n, 3, 3)
+    X: np.ndarray       # (6n, 6n)
 
 
 def chain_poses(model: RobotModel, q) -> ChainPoses:
-    q = np.asarray(q, dtype=float)
     n = model.n
-    Rb = np.empty((n, 3, 3))
-    pb = np.empty((n, 3))
-    Rt = np.empty((n, 3, 3))
-    pt = np.empty((n, 3))
-    Rj = np.empty((n, 3, 3))
-    R, p = model.base.R, model.base.r
-    for i, joint in enumerate(model.joints):
-        Rj[i] = axis_rotation(joint.axis, q[i])
-        R = R @ Rj[i]
-        Rb[i], pb[i] = R, p
-        p = p + R @ joint.tip.r
-        R = R @ joint.tip.R
-        Rt[i], pt[i] = R, p
-    return ChainPoses(model.base.R, model.base.r, Rb, pb, Rt, pt, Rj)
+    Rj = model.joint_rotations(np.asarray(q, dtype=float))
+    # Rt_i = Rt_{i-1} Rj_i R_tip,i, the only product that runs along the chain
+    Rt = np.array(list(accumulate(Rj @ model.tip_R, np.matmul, initial=model.base.R))[1:])
+    Rb = np.concatenate((model.base.R[None], Rt[:-1])) @ Rj
+    p = np.cumsum(np.concatenate((model.base.r[None], (Rb @ model.tip_r[:, :, None])[:, :, 0])),
+                  axis=0)
+    pb, pt = p[:-1], p[1:]
+
+    # X_{B_i <- B_k} = Y_i Z_k through the world frame: Y_i maps a world
+    # velocity (about the world origin) into B_i, and Z_k = Y_k^-1 is Y_k with
+    # each 3x3 block transposed in place
+    Rbt = np.swapaxes(Rb, 1, 2)
+    Y = np.zeros((n, 2, 3, 2, 3))
+    Y[:, 0, :, 0] = Y[:, 1, :, 1] = Rbt
+    Y[:, 0, :, 1] = -(Rbt @ skew(pb))
+    Z = Y.transpose(1, 4, 0, 3, 2).reshape(6, 6 * n)
+    X = np.where(model.chain_lower, Y.reshape(6 * n, 6) @ Z, model.chain_eye)
+    return ChainPoses(model.base.R, model.base.r, Rb, pb, Rt, pt, Rj, X)
 
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """Pose of the last frame (T_n) in world coordinates."""
     if model.n == 0:
-        return Pose(model.base.r, quat_from_rotation(model.base.R))
+        return Pose.from_rotation(model.base.r, model.base.R)
     poses = chain_poses(model, q)
-    return Pose(poses.pt[-1], quat_from_rotation(poses.Rt[-1]))
+    return Pose.from_rotation(poses.pt[-1], poses.Rt[-1])
 
 
 def jacobian(model: RobotModel, poses: ChainPoses) -> np.ndarray:
@@ -194,7 +244,11 @@ def orientation_error(q_cur: UnitQuaternion, q_des: UnitQuaternion) -> np.ndarra
     """
     qc = q_cur.sign_normalized()
     qd = q_des.sign_normalized()
-    return (qc.w * qd.vec - qd.w * qc.vec - skew(qd.vec) @ qc.vec)
+    w, (x, y, z) = qc.w, qc.vec.tolist()
+    wd, (xd, yd, zd) = qd.w, qd.vec.tolist()
+    return np.array([w * xd - wd * x - (yd * z - zd * y),
+                     w * yd - wd * y - (zd * x - xd * z),
+                     w * zd - wd * z - (xd * y - yd * x)])
 
 
 def pose_error(pose: Pose, pose_d: Pose) -> np.ndarray:
@@ -203,18 +257,17 @@ def pose_error(pose: Pose, pose_d: Pose) -> np.ndarray:
                            orientation_error(pose.orientation, pose_d.orientation)))
 
 
-def clik_required_velocity(J, pose: Pose, pose_d: Pose, vel_d, xi,
-                           damping: float = 1e-3) -> np.ndarray:
+def clik_required_velocity(J, e, vel_d, xi, damping: float = 1e-3) -> np.ndarray:
     """Closed-loop inverse kinematics: qdot_r = J+ (vel_d + xi e).
 
-    ``vel_d`` is the desired task velocity [v_d, omega_d] (true angular
-    velocity).  The pseudo-inverse is damped least squares,
-    J' (J J' + damping^2 I)^-1, which stays bounded through singularities;
-    damping = 0 recovers the exact (pseudo-)inverse for full-rank J.
+    ``e`` is the task error [p_d - p, e_o] of :func:`pose_error` and ``vel_d``
+    the desired task velocity [v_d, omega_d] (true angular velocity).  The
+    pseudo-inverse is damped least squares, J' (J J' + damping^2 I)^-1, which
+    stays bounded through singularities; damping = 0 recovers the exact
+    (pseudo-)inverse for full-rank J.
     """
     J = np.asarray(J, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    e = pose_error(pose, pose_d)
     u = np.asarray(vel_d, dtype=float) + (xi @ e if xi.ndim == 2 else xi * e)
     A = J @ J.T + damping ** 2 * np.eye(J.shape[0])
     return J.T @ np.linalg.solve(A, u)
@@ -267,7 +320,7 @@ class CartesianQuinticReference:
         """Desired pose and task velocity [v_d, omega_d] at time t."""
         s = self.sample(t)
         ang = s.chi[3:]
-        pose = Pose(s.chi[:3], quat_from_rotation(euler_xyz_to_rotation(*ang)))
+        pose = Pose.from_rotation(s.chi[:3], euler_xyz_to_rotation(*ang))
         omega = euler_xyz_rate_matrix(ang[0], ang[1]) @ s.chi_dot[3:]
         return pose, np.concatenate((s.chi_dot[:3], omega))
 

@@ -34,7 +34,7 @@ from .controller import (ControllerGains, StabilityDiagnostics, VdcController,
 from .kinematics import (CartesianQuinticReference, JointSineReference, RobotModel,
                          forward_kinematics)
 from .rigid_body import mass_matrix
-from .spatial import axis_rotation, skew
+from .spatial import skew
 
 
 def _as_world_wrench(f_ext) -> np.ndarray | None:
@@ -50,7 +50,7 @@ def _as_world_wrench(f_ext) -> np.ndarray | None:
 class _PlantConstants:
     """Per-link constants of the plant recursion, stacked along the chain."""
 
-    axes: tuple[tuple[str, int], ...]   # axis name and its angular slot
+    slots: tuple[int, ...]          # angular slot of each joint axis
     turn: np.ndarray                # blockdiag(skew(k), skew(k)), k the axis unit
     tip: np.ndarray                 # velocity map B_i -> T_i from Rt^T, skew(r)
     mass: np.ndarray                # spatial mass matrices
@@ -71,7 +71,7 @@ class _PlantConstants:
         links = [joint.link for joint in model.joints]
         m = np.array([link.mass for link in links]).reshape(n, 1, 1)
         rx = np.array([skew(link.com) for link in links])
-        return cls(tuple(zip((j.axis for j in model.joints), model.slots.tolist())), turn, tip,
+        return cls(tuple(model.slots.tolist()), turn, tip,
                    np.array([mass_matrix(link) for link in links]), m,
                    np.array([skew(link.first_moment) for link in links]), rx,
                    np.array([link.inertia for link in links]) + m * (rx @ rx),
@@ -102,12 +102,9 @@ def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=No
     X = np.zeros((6, 2 + n if mass_columns else 2))
     X[:3, 1] = model.base.R.T @ g
     frames = np.empty((n, 6, X.shape[1]))
-    rotations = []
-    for i in range(n):
-        axis, slot = k.axes[i]
-        Rj = axis_rotation(axis, q[i])
-        rotations.append(Rj)
-        X = (Rj.T @ X.reshape(2, 3, -1)).reshape(6, -1)
+    rotations = model.joint_rotations(np.asarray(q, dtype=float))
+    for i, slot in enumerate(k.slots):
+        X = (rotations[i].T @ X.reshape(2, 3, -1)).reshape(6, -1)
         X[:, 1] -= qdot[i] * (k.turn[i] @ X[:, 0])
         X[slot, 0] += qdot[i]
         if qddot is not None:
@@ -138,7 +135,7 @@ def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=No
     rows = np.empty((n, net.shape[2]))
     f = net[n - 1]
     for j in range(n - 1, -1, -1):
-        rows[j] = f[k.axes[j][1]]
+        rows[j] = f[k.slots[j]]
         if j:
             f = net[j - 1] + k.tip[j - 1].T @ (
                 rotations[j] @ f.reshape(2, 3, -1)).reshape(6, -1)
@@ -265,6 +262,8 @@ class SimConfig:
             problems.append("duration_s must be 0 or at least dt_s")
         if self.repetitions < 1:
             problems.append("repetitions must be at least 1")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if self.integrator not in _INTEGRATORS:
             problems.append(f"integrator must be one of {_INTEGRATORS}")
         if self.adapter not in ("nal", "projection", "none"):
@@ -280,6 +279,8 @@ class SimConfig:
         if model is not None and self.initial_q_rad is not None \
                 and len(self.initial_q_rad) != model.n:
             problems.append(f"initial_q_rad must have {model.n} entries")
+        if self.joint_tracking_gain is not None and not 0.0 < self.joint_tracking_gain < np.inf:
+            problems.append("joint_tracking_gain must be positive and finite")
         if not self.adaptation.initial_scale > 0.0:
             problems.append("adaptation initial_scale must be positive")
         if not self.adaptation.projection_rho > 0.0:

@@ -17,6 +17,7 @@ throughout the library are:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,42 +84,65 @@ def axis_vector(axis: str) -> np.ndarray:
     return _AXIS_VEC[axis]
 
 
+def axis_rotation_pattern(axis: str) -> np.ndarray:
+    """3x3 indices into (0, 1, cos, sin, -sin) that ``axis_rotation(axis, .)`` follows.
+
+    Read off ``axis_rotation`` itself at an angle where the five values differ,
+    so a rotation gathered through the pattern is the one it builds, bit for bit.
+    """
+    theta = 0.5
+    values = np.array([0.0, 1.0, np.cos(theta), np.sin(theta), -np.sin(theta)])
+    R = axis_rotation(axis, theta)
+    return np.argmax(R[:, :, None] == values, axis=2)
+
+
 def euler_xyz_to_rotation(alpha: float, beta: float, delta: float) -> np.ndarray:
-    """R = Rx(alpha) @ Ry(beta) @ Rz(delta) (intrinsic XYZ angles)."""
-    return rot_x(alpha) @ rot_y(beta) @ rot_z(delta)
+    """R = Rx(alpha) @ Ry(beta) @ Rz(delta) (intrinsic XYZ angles), on Python floats."""
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    cd, sd = math.cos(delta), math.sin(delta)
+    return np.array([[cb * cd, -cb * sd, sb],
+                     [ca * sd + sa * sb * cd, ca * cd - sa * sb * sd, -sa * cb],
+                     [sa * sd - ca * sb * cd, sa * cd + ca * sb * sd, ca * cb]])
 
 
 def rotation_to_euler_xyz(R) -> np.ndarray:
     """Inverse of :func:`euler_xyz_to_rotation`; beta folded into [-pi/2, pi/2]."""
-    R = np.asarray(R, dtype=float)
-    beta = np.arcsin(np.clip(R[0, 2], -1.0, 1.0))
-    alpha = np.arctan2(-R[1, 2], R[2, 2])
-    delta = np.arctan2(-R[0, 1], R[0, 0])
-    return np.array([alpha, beta, delta])
+    (r00, r01, r02), (r10, r11, r12), (_, _, r22) = np.asarray(R, dtype=float).tolist()
+    return np.array([math.atan2(-r12, r22), math.asin(min(max(r02, -1.0), 1.0)),
+                     math.atan2(-r01, r00)])
 
 
 def euler_xyz_rate_matrix(alpha: float, beta: float) -> np.ndarray:
     """Map XYZ Euler-angle rates to the angular velocity in the reference frame.
 
     omega = E(alpha, beta) @ [alpha_dot, beta_dot, delta_dot].  Columns are the
-    instantaneous axes of the three elementary rotations.
+    instantaneous axes of the three elementary rotations: x, Rx(alpha) y and
+    Rx(alpha) Ry(beta) z.
     """
-    ex = np.array([1.0, 0.0, 0.0])
-    rx = rot_x(alpha)
-    return np.column_stack((ex, rx @ np.array([0.0, 1.0, 0.0]),
-                            rx @ rot_y(beta) @ np.array([0.0, 0.0, 1.0])))
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    return np.array([[1.0, 0.0, sb], [0.0, ca, -sa * cb], [0.0, sa, ca * cb]])
 
 
-def _check_rotation(R) -> np.ndarray:
+def _check_rotation(R) -> list:
+    """Rows of ``R`` as Python floats; raises unless ``R`` is a 3x3 rotation."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {R.shape}")
-    err = np.max(np.abs(R.T @ R - np.eye(3)))
+    rows = R.tolist()
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    if not math.isfinite(a + b + c + d + e + f + g + h + i):
+        raise ValueError("matrix is not orthonormal (non-finite entries)")
+    # the six distinct entries of R'R - I
+    err = max(abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+              abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+              abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
     if err > _ORTHO_TOL:
         raise ValueError(f"matrix is not orthonormal (max |R'R - I| = {err:.3e})")
-    if np.linalg.det(R) < 0.0:
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0.0:
         raise ValueError("matrix has determinant -1 (reflection, not a rotation)")
-    return R
+    return rows
 
 
 @dataclass(frozen=True)
@@ -173,11 +197,14 @@ class UnitQuaternion:
         object.__setattr__(self, "vec", _freeze(self.vec))
         if self.vec.shape != (3,):
             raise ValueError("quaternion vector part must be a 3-vector")
-        n = np.sqrt(self.w ** 2 + float(self.vec @ self.vec))
+        x, y, z = self.vec.tolist()
+        n = math.sqrt(self.w * self.w + x * x + y * y + z * z)
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"quaternion is not unit norm (|q| = {n:.12g})")
 
     def sign_normalized(self) -> "UnitQuaternion":
+        if self.w > 0.0:
+            return self
         q = np.concatenate(([self.w], self.vec))
         nz = q[np.abs(q) > 0.0]
         if self.w < 0.0 or (self.w == 0.0 and nz.size and nz[0] < 0.0):
@@ -200,37 +227,21 @@ def quat_from_rotation(R) -> UnitQuaternion:
     """Convert a rotation matrix to the sign-normalized unit quaternion.
 
     Uses the dominant-component (Shepperd) branch selection, which stays
-    accurate for all rotation angles.
+    accurate for all rotation angles.  Works on Python floats: the matrix is
+    checked once and read once.
     """
-    R = _check_rotation(R)
-    t = np.trace(R)
-    k = np.array([
-        1.0 + t,
-        1.0 + 2.0 * R[0, 0] - t,
-        1.0 + 2.0 * R[1, 1] - t,
-        1.0 + 2.0 * R[2, 2] - t,
-    ])
-    i = int(np.argmax(k))
-    s = 2.0 * np.sqrt(max(k[i], 0.0))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _check_rotation(R)
+    t = r00 + r11 + r22
+    k = (1.0 + t, 1.0 + 2.0 * r00 - t, 1.0 + 2.0 * r11 - t, 1.0 + 2.0 * r22 - t)
+    i = k.index(max(k))
+    s = 2.0 * math.sqrt(max(k[i], 0.0))
     if i == 0:
-        q = np.array([s / 4.0,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
+        q = (s / 4.0, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
     elif i == 1:
-        q = np.array([(R[2, 1] - R[1, 2]) / s,
-                      s / 4.0,
-                      (R[0, 1] + R[1, 0]) / s,
-                      (R[0, 2] + R[2, 0]) / s])
+        q = ((r21 - r12) / s, s / 4.0, (r01 + r10) / s, (r02 + r20) / s)
     elif i == 2:
-        q = np.array([(R[0, 2] - R[2, 0]) / s,
-                      (R[0, 1] + R[1, 0]) / s,
-                      s / 4.0,
-                      (R[1, 2] + R[2, 1]) / s])
+        q = ((r02 - r20) / s, (r01 + r10) / s, s / 4.0, (r12 + r21) / s)
     else:
-        q = np.array([(R[1, 0] - R[0, 1]) / s,
-                      (R[0, 2] + R[2, 0]) / s,
-                      (R[1, 2] + R[2, 1]) / s,
-                      s / 4.0])
-    q = q / np.linalg.norm(q)
-    return UnitQuaternion(q[0], q[1:]).sign_normalized()
+        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, s / 4.0)
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return UnitQuaternion(q[0] / norm, np.array(q[1:]) / norm).sign_normalized()

@@ -90,3 +90,53 @@ def pendulum() -> RobotModel:
     base = FrameTransform(rot_x(-np.pi / 2.0), np.zeros(3))
     return RobotModel(name="pendulum", joints=(joint,), base=base,
                       gravity=np.array([0.0, 0.0, 9.8]))
+
+
+# Malformed robot files, each an edit of ROBOT_TEXT written to bot.yaml, and
+# the message the loader must fail with: it names the file and the key.
+ROBOT_TEXT = """\
+name: mini
+gravity_mps2: [0.0, 0.0, 9.8]
+joints:
+  - name: only
+    axis: z
+    motor_inertia_kgm2: 0.01
+    tip_offset_m: [0.0, 0.0, 0.2]
+    link:
+      mass_kg: 1.0
+      com_m: [0.0, 0.0, 0.1]
+      inertia_com_kgm2: [1.0e-3, 1.0e-3, 1.0e-3, 0.0, 0.0, 0.0]
+"""
+
+MALFORMED_ROBOTS = {
+    "joints_not_a_list": (
+        lambda t: t[:t.index("joints:")] + "joints: 5\n",
+        "bot.yaml: joints must be a non-empty list, got 5"),
+    "short_limit": (
+        lambda t: t.replace("    axis: z\n", "    axis: z\n    limit_rad: [1.0]\n"),
+        "bot.yaml:joints[1]: limit_rad must be a list of 2 finite numbers, got [1.0]"),
+    "mass_not_a_number": (
+        lambda t: t.replace("mass_kg: 1.0", 'mass_kg: "heavy"'),
+        "bot.yaml:joints[1].link: mass_kg must be a finite number, got 'heavy'"),
+    "infinite_com": (
+        lambda t: t.replace("com_m: [0.0, 0.0, 0.1]", "com_m: [0, 0, .inf]"),
+        "bot.yaml:joints[1].link: com_m must be a list of 3 finite numbers, got [0, 0, inf]"),
+    "nan_motor_inertia": (
+        lambda t: t.replace("motor_inertia_kgm2: 0.01", "motor_inertia_kgm2: .nan"),
+        "bot.yaml:joints[1]: motor_inertia_kgm2 must be a finite number, got nan"),
+    "nan_gravity": (
+        lambda t: t.replace("[0.0, 0.0, 9.8]", "[0, 0, .nan]"),
+        "bot.yaml: gravity_mps2 must be a list of 3 finite numbers, got [0, 0, nan]"),
+    "unknown_joint_key": (
+        lambda t: t.replace("    axis: z\n", "    axis: z\n    colour: red\n"),
+        "bot.yaml:joints[1]: unknown keys ['colour']"),
+    "unknown_link_key": (
+        lambda t: t.replace("      mass_kg:", "      colour: red\n      mass_kg:"),
+        "bot.yaml:joints[1].link: unknown keys ['colour']"),
+    "unknown_top_key": (
+        lambda t: "colour: red\n" + t,
+        "bot.yaml: unknown keys ['colour']"),
+    "negative_motor_inertia": (
+        lambda t: t.replace("motor_inertia_kgm2: 0.01", "motor_inertia_kgm2: -0.01"),
+        "bot.yaml:joints[1]: joint 'only': motor inertia must be >= 0"),
+}

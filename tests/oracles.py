@@ -220,3 +220,38 @@ def nal_step_per_link(L, s, gamma: float, dt: float, method: str = "geometric"):
     else:
         L_new = L + (dt / gamma) * (L @ S @ L)
     return 0.5 * (L_new + L_new.T)
+
+
+# --- the NumPy forms of the quaternion and Euler conversions -------------------
+
+def quat_from_rotation_numpy(R) -> np.ndarray:
+    """[w, x, y, z] of R by Shepperd's branches on NumPy arrays, sign-normalized."""
+    R = np.asarray(R, dtype=float)
+    t = np.trace(R)
+    k = np.array([1.0 + t, 1.0 + 2.0 * R[0, 0] - t, 1.0 + 2.0 * R[1, 1] - t,
+                  1.0 + 2.0 * R[2, 2] - t])
+    i = int(np.argmax(k))
+    s = 2.0 * np.sqrt(max(k[i], 0.0))
+    if i == 0:
+        q = np.array([s / 4.0, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s,
+                      (R[1, 0] - R[0, 1]) / s])
+    elif i == 1:
+        q = np.array([(R[2, 1] - R[1, 2]) / s, s / 4.0, (R[0, 1] + R[1, 0]) / s,
+                      (R[0, 2] + R[2, 0]) / s])
+    elif i == 2:
+        q = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, s / 4.0,
+                      (R[1, 2] + R[2, 1]) / s])
+    else:
+        q = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
+                      (R[1, 2] + R[2, 1]) / s, s / 4.0])
+    q = q / np.linalg.norm(q)
+    nz = q[np.abs(q) > 0.0]
+    return -q if q[0] < 0.0 or (q[0] == 0.0 and nz[0] < 0.0) else q
+
+
+def rotation_to_euler_xyz_numpy(R) -> np.ndarray:
+    """[alpha, beta, delta] with R = Rx(alpha) Ry(beta) Rz(delta), on NumPy arrays."""
+    R = np.asarray(R, dtype=float)
+    return np.array([np.arctan2(-R[1, 2], R[2, 2]),
+                     np.arcsin(np.clip(R[0, 2], -1.0, 1.0)),
+                     np.arctan2(-R[0, 1], R[0, 0])])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import MALFORMED_ROBOTS, ROBOT_TEXT
 from vdcnal.cli import _META_KEYS, main, read_run_csv, write_run_csv
 from vdcnal.config import builtin_config_path
 
@@ -276,3 +277,34 @@ def test_summary_counts_ticks_outside_the_consistent_set(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", str(csv)]) == 1
     assert "MISMATCH ticks_mineig_nonpositive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probe", sorted(MALFORMED_ROBOTS))
+def test_validate_names_file_and_key_of_a_malformed_robot(tmp_path, capsys, probe):
+    edit, message = MALFORMED_ROBOTS[probe]
+    path = tmp_path / "bot.yaml"
+    path.write_text(edit(ROBOT_TEXT))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"FAIL {path.parent}/{message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed: 1.5", "seed must be an integer, got 1.5"),
+    ("repetitions: 2.7", "repetitions must be an integer, got 2.7"),
+    ("repetitions: true", "repetitions must be an integer, got True"),
+    ("seed: -1", "seed must be >= 0"),
+    ('dt_s: "fast"', "dt_s must be a number, got 'fast'"),
+    ("initial_q_rad: [0, x]", "initial_q_rad must be a list of any number of finite numbers"),
+    ("trajectory: {target_position_m: [1, 2]}",
+     "trajectory: target_position_m must be a list of 3 finite numbers, got [1, 2]"),
+    ("joint_tracking_gain: .inf", "joint_tracking_gain must be positive and finite"),
+])
+def test_validate_rejects_malformed_top_level_values(tmp_path, capsys, text, message):
+    path = tmp_path / "sim.yaml"
+    path.write_text(f"scenario: exo-pose\n{text}\n")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"FAIL {path}:" in err and message in err
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_ROBOTS, ROBOT_TEXT
 from vdcnal.config import (
     ConfigError,
     builtin_config_path,
@@ -201,3 +202,46 @@ def test_load_sim_rejects_non_numeric_and_non_finite_gains(tmp_path, text, messa
     with pytest.raises(ConfigError) as info:
         load_sim(path)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("probe", sorted(MALFORMED_ROBOTS))
+def test_load_robot_names_file_and_key(tmp_path, probe):
+    edit, message = MALFORMED_ROBOTS[probe]
+    path = tmp_path / "bot.yaml"
+    path.write_text(ROBOT_TEXT)
+    assert load_robot(path).n == 1          # the unedited text loads
+    path.write_text(edit(ROBOT_TEXT))
+    with pytest.raises(ConfigError) as info:
+        load_robot(path)
+    assert str(info.value) == f"{path.parent}/{message}"
+
+
+@pytest.mark.parametrize("key", ["seed", "repetitions"])
+@pytest.mark.parametrize("value", ["1.5", "2.7", "true", '"3"'])
+def test_counts_must_be_integers(tmp_path, key, value):
+    # no truncation by int(...): a fraction, a bool or a string is an error,
+    # in the sim file and in the manifest alike
+    sim = tmp_path / "sim.yaml"
+    sim.write_text(f"scenario: exo-pose\n{key}: {value}\n")
+    with pytest.raises(ConfigError, match=f"sim.yaml: {key} must be an integer, got"):
+        load_sim(sim)
+    (tmp_path / "bot.yaml").write_text(MINIMAL_ROBOT.format(mass=1.0))
+    sim.write_text("scenario: exo-pose\n")
+    man = tmp_path / "man.yaml"
+    man.write_text(f"robot: bot.yaml\nsim: sim.yaml\noutput_dir: out\n{key}: {value}\n")
+    with pytest.raises(ConfigError, match=f"man.yaml: {key} must be an integer, got"):
+        load_manifest(man)
+
+
+def test_seed_must_not_be_negative(tmp_path):
+    # the run's generator takes [seed, repetition] and refuses negative entries
+    sim = tmp_path / "sim.yaml"
+    sim.write_text("scenario: exo-pose\nseed: -1\n")
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_sim(sim)
+    (tmp_path / "bot.yaml").write_text(MINIMAL_ROBOT.format(mass=1.0))
+    sim.write_text("scenario: exo-pose\nseed: 3\n")
+    man = tmp_path / "man.yaml"
+    man.write_text("robot: bot.yaml\nsim: sim.yaml\noutput_dir: out\nseed: -2\n")
+    with pytest.raises(ConfigError, match="man.yaml: seed must be >= 0"):
+        load_manifest(man)

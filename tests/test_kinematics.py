@@ -123,7 +123,7 @@ def test_clik_zero_error_zero_velocity(arm7):
     q = np.full(7, 0.3)
     pose = forward_kinematics(arm7, q)
     J = jacobian(arm7, chain_poses(arm7, q))
-    qdot = clik_required_velocity(J, pose, pose, np.zeros(6), 25.0)
+    qdot = clik_required_velocity(J, pose_error(pose, pose), np.zeros(6), 25.0)
     assert np.allclose(qdot, 0.0, atol=1e-12)
 
 
@@ -139,7 +139,7 @@ def test_clik_square_chain_recovers_exact_inverse(arm7):
     pose = forward_kinematics(sub, q)
     pose_d = forward_kinematics(sub, q + 0.1 * rng.standard_normal(6))
     vel_d = rng.standard_normal(6)
-    got = clik_required_velocity(J, pose, pose_d, vel_d, 25.0, damping=0.0)
+    got = clik_required_velocity(J, pose_error(pose, pose_d), vel_d, 25.0, damping=0.0)
     expected = np.linalg.solve(J, vel_d + 25.0 * pose_error(pose, pose_d))
     assert np.allclose(got, expected, atol=1e-9)
 
@@ -153,7 +153,7 @@ def test_clik_damped_solution_is_optimal(arm7):
     pose_d = forward_kinematics(arm7, q + 0.2 * rng.standard_normal(7))
     vel_d = rng.standard_normal(6)
     lam = 1e-3
-    qdot = clik_required_velocity(J, pose, pose_d, vel_d, 25.0, damping=lam)
+    qdot = clik_required_velocity(J, pose_error(pose, pose_d), vel_d, 25.0, damping=lam)
     u = vel_d + 25.0 * pose_error(pose, pose_d)
     grad = J.T @ (J @ qdot - u) + lam ** 2 * qdot
     assert np.max(np.abs(grad)) <= 1e-9
@@ -166,7 +166,7 @@ def _clik_rollout(model, q0, pose_d, xi, dt, n_steps):
         pose = forward_kinematics(model, q)
         errors.append(np.linalg.norm(pose_error(pose, pose_d)))
         J = jacobian(model, chain_poses(model, q))
-        qdot = clik_required_velocity(J, pose, pose_d, np.zeros(6), xi)
+        qdot = clik_required_velocity(J, pose_error(pose, pose_d), np.zeros(6), xi)
         q = q + dt * qdot
     errors.append(np.linalg.norm(
         pose_error(forward_kinematics(model, q), pose_d)))

@@ -1,10 +1,12 @@
 """Plant dynamics, integrators, the scenario runner, and its statistics."""
 import collections
+import sys
 
 import numpy as np
 import pytest
 
 import vdcnal.simulation as simulation
+import vdcnal.spatial as spatial
 from conftest import pendulum_accel, zero_gravity_clone
 from oracles import coriolis_matrix_original, gravity_wrench
 from vdcnal.config import builtin_config_path, load_robot, load_sim
@@ -206,6 +208,47 @@ def test_nal_tick_decomposes_twice(arm7, monkeypatch):
                 for name in ("eigh", "eigvalsh", "slogdet")}
     assert per_tick["eigh"] <= 2
     assert per_tick["eigvalsh"] == 0 and per_tick["slogdet"] == 0
+
+
+def _per_tick_calls(monkeypatch, model, cfg, names):
+    """Calls of ``spatial.<name>`` per tick over ticks 11-20 of a run: the
+    difference of a 20-tick and a 10-tick ``run_scenario``, so set-up drops out.
+    The wrapper replaces the function in every vdcnal module that imported it."""
+    counts = collections.Counter()
+    for name in names:
+        original = getattr(spatial, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "vdcnal" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    runs = {}
+    for ticks in (10, 20):
+        cfg.duration_s = ticks * cfg.dt_s
+        counts.clear()
+        assert run_scenario(model, cfg, repetition=0).data.shape[0] == ticks
+        runs[ticks] = dict(counts)
+    return {name: (runs[20].get(name, 0) - runs[10].get(name, 0)) / 10 for name in names}
+
+
+def test_tick_builds_no_axis_rotation_and_checks_at_most_two(arm7, rrr3, monkeypatch):
+    # the joint rotations of chain_poses and of the plant come from one batched
+    # gather each; the only rotation checks of a tick are the two quaternions
+    # of the task-mode pose error (measured tip and reference), and joint mode
+    # builds no quaternion at all
+    names = ("axis_rotation", "_check_rotation")
+    cfg = load_sim(builtin_config_path("exo_pose"))
+    assert (cfg.adapter, cfg.trajectory.kind) == ("nal", "cartesian_quintic")
+    task = _per_tick_calls(monkeypatch, arm7, cfg, names)
+    assert task["axis_rotation"] == 0
+    assert task["_check_rotation"] <= 2
+    cfg = load_sim(builtin_config_path("rrr_compare"))
+    assert cfg.trajectory.kind == "joint_sine"
+    joint = _per_tick_calls(monkeypatch, rrr3, cfg, names)
+    assert joint["axis_rotation"] == 0
+    assert joint["_check_rotation"] == 0
 
 
 def _potential(model, q):

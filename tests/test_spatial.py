@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation, random_transform
+from oracles import quat_from_rotation_numpy, rotation_to_euler_xyz_numpy
 from vdcnal.spatial import (
     FrameTransform,
     UnitQuaternion,
@@ -177,6 +178,51 @@ def test_quaternion_validation():
         UnitQuaternion(0.5, np.zeros(3))
     with pytest.raises(ValueError):
         UnitQuaternion(1.0, np.zeros(2))
+
+
+def test_quat_from_rotation_rejects_non_rotations():
+    R = random_rotation(np.random.default_rng(10))
+    with pytest.raises(ValueError, match="reflection"):
+        quat_from_rotation(R @ np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="reflection"):
+        quat_from_rotation(-np.eye(3))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        quat_from_rotation(1.001 * R)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        quat_from_rotation(R + 1e-6 * np.triu(np.ones((3, 3)), 1))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        quat_from_rotation(np.where(np.eye(3) > 0.0, np.nan, R))
+    with pytest.raises(ValueError, match="3x3"):
+        quat_from_rotation(np.eye(4))
+
+
+def _conversion_rotations(rng):
+    """1000 rotations: uniform ones, ones within 1e-8 of a half turn (trace
+    near -1, where the non-trace Shepperd branches run), and XYZ Euler
+    rotations with beta at or next to +-pi/2 (the gimbal-lock fold)."""
+    rotations = [random_rotation(rng) for _ in range(600)]
+    for _ in range(200):
+        axis = rng.standard_normal(3)
+        K = skew(axis / np.linalg.norm(axis))
+        angle = np.pi - 10.0 ** -rng.uniform(0.0, 8.0)
+        rotations.append(np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K))
+    for k in range(200):
+        beta = rng.choice([-1.0, 1.0]) * (np.pi / 2.0 - (0.0 if k % 4 == 0 else
+                                                           10.0 ** -rng.uniform(0.0, 9.0)))
+        rotations.append(euler_xyz_to_rotation(rng.uniform(-np.pi, np.pi), beta,
+                                               rng.uniform(-np.pi, np.pi)))
+    return rotations
+
+
+def test_float_conversions_match_numpy_forms():
+    rotations = _conversion_rotations(np.random.default_rng(11))
+    assert min(np.trace(R) for R in rotations) < -1.0 + 1e-15
+    assert max(abs(R[0, 2]) for R in rotations) == 1.0
+    for R in rotations:
+        q = quat_from_rotation(R)
+        assert q is q.sign_normalized()
+        assert np.max(np.abs(q.as_array() - quat_from_rotation_numpy(R))) <= 1e-15
+        assert np.max(np.abs(rotation_to_euler_xyz(R) - rotation_to_euler_xyz_numpy(R))) <= 1e-15
 
 
 def test_euler_round_trip():

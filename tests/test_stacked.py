@@ -2,7 +2,10 @@
 
 Each check runs 200 random states of arm7, rrr3 and the one-joint pendulum
 (which catches n = 1 shape slips) and asks |a - b| <= 1e-12 (1 + |b|) entry
-by entry, a the stacked result and b the per-link oracle's.
+by entry, a the stacked result and b the per-link oracle's.  The sweeps are
+products with the chain operator that ``chain_poses`` builds, and the joint
+rotations come from one gather over a cos/sin table; both are checked here
+against the one-link-at-a-time forms.
 """
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from vdcnal.controller import propagate_accelerations, propagate_forces, propaga
 from vdcnal.kinematics import chain_poses
 from vdcnal.manifold import params_to_pseudo
 from vdcnal.rigid_body import body_wrenches, mass_matrix, regressor
+from vdcnal.spatial import axis_rotation
 
 STATES = 200
 
@@ -59,6 +63,57 @@ def test_sweeps_match_per_link_sweeps(model):
         for got, want in zip(propagate_forces(model, poses, net, tip),
                              propagate_forces_per_link(model, q, net, tip)):
             _assert_close(got, want)
+
+
+def test_operator_sweeps_as_the_controller_calls_them(model):
+    # the sweep test above differentiates the actual set and passes a random
+    # tip wrench; the controller differentiates the required set (with the
+    # measured rates in the transform rate) and passes a zero tip wrench
+    for rng, q, poses, qd, qd_r, qdd in _chain_states(model, 74):
+        vrt = propagate_velocities_per_link(model, q, qd, qd_r)[3]
+        for got, want in zip(propagate_accelerations(model, poses, qd, qdd, vrt),
+                             propagate_accelerations_per_link(model, q, qd, qdd, vrt)):
+            _assert_close(got, want)
+        net = rng.standard_normal((model.n, 6))
+        for got, want in zip(propagate_forces(model, poses, net, np.zeros(6)),
+                             propagate_forces_per_link(model, q, net, np.zeros(6))):
+            _assert_close(got, want)
+
+
+def test_chain_operator_blocks(model):
+    # identity on the diagonal exactly, zero above it, and the neighbour
+    # blocks are the joint map after the previous link's tip map
+    rng = np.random.default_rng(75)
+    n = model.n
+    for _ in range(STATES):
+        poses = chain_poses(model, rng.uniform(-np.pi, np.pi, n))
+        X = poses.X.reshape(n, 6, n, 6)
+        for i in range(n):
+            assert np.array_equal(X[i, :, i], np.eye(6))
+            assert not np.any(X[i, :, i + 1:])
+            if i:
+                joint = np.kron(np.eye(2), poses.Rj[i].T)
+                _assert_close(X[i, :, i - 1], joint @ model.tip_velocity[i - 1])
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def test_batched_rotations_equal_axis_rotation_bit_for_bit(arm7):
+    # arm7 has joints about x, y and z; the batch must be the very rotation
+    # axis_rotation builds, signed zeros included
+    axes = [j.axis for j in arm7.joints]
+    assert set(axes) == {"x", "y", "z"}
+    rng = np.random.default_rng(76)
+    special = [0.0, -0.0, np.pi, -np.pi]
+    draws = [rng.uniform(-4.0, 4.0, arm7.n) for _ in range(STATES)]
+    draws += [np.full(arm7.n, angle) for angle in special]
+    draws += [rng.choice(special, arm7.n) for _ in range(20)]
+    for q in draws:
+        batch = arm7.joint_rotations(q)
+        for i, axis in enumerate(axes):
+            assert _bits(batch[i]) == _bits(axis_rotation(axis, q[i]))
 
 
 def test_regressor_and_body_wrenches_match_per_body_forms(model):
