@@ -109,7 +109,11 @@ def _real(node, key: str, default: float, where: str) -> float:
     value = node.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:               # an int beyond the float range
+        raise ConfigError(f"{where}: {key} must be a number in the float range, "
+                          f"got an integer beyond it") from None
 
 
 def _vec(node, key: str, where: str, length: int | None) -> np.ndarray:

@@ -15,12 +15,13 @@ quantities always use the true angular velocity, never Euler rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .rigid_body import InertialParams
-from .spatial import (FrameTransform, UnitQuaternion, axis_rotation_pattern, axis_vector,
+from .spatial import (AXIS_ROTATION_PATTERN, FrameTransform, UnitQuaternion, axis_vector,
                       cross3, euler_xyz_rate_matrix, euler_xyz_to_rotation, quat_from_rotation,
                       rotation_to_euler_xyz, skew, transform_velocity_raw, transform_wrench_raw)
 
@@ -64,8 +65,6 @@ class Joint:
 class Pose:
     position: np.ndarray
     orientation: UnitQuaternion
-    # the rotation matrix the pose was made from, or else the orientation's
-    rotation: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.array(self.position, dtype=float)
@@ -73,15 +72,23 @@ class Pose:
             raise ValueError("position must be a 3-vector")
         p.setflags(write=False)
         object.__setattr__(self, "position", p)
-        R = (self.orientation.rotation() if self.rotation is None
-             else np.asarray(self.rotation, dtype=float).view())
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        """The orientation's rotation matrix, built on first use; a pose made by
+        :meth:`from_rotation` holds the checked matrix it was made from."""
+        R = self.orientation.rotation()
         R.setflags(write=False)
-        object.__setattr__(self, "rotation", R)
+        return R
 
     @classmethod
     def from_rotation(cls, position, R) -> "Pose":
         """Pose with the quaternion of rotation ``R``, keeping ``R`` itself."""
-        return cls(position, quat_from_rotation(R), R)
+        pose = cls(position, quat_from_rotation(R))
+        R = np.asarray(R, dtype=float).view()
+        R.setflags(write=False)
+        object.__setattr__(pose, "rotation", R)     # fills the cached property
+        return pose
 
     def as_vector(self) -> np.ndarray:
         """chi = [p, euler_xyz] (used for logs and trajectory endpoints)."""
@@ -121,7 +128,7 @@ class RobotModel:
         axes = np.array([j.axis_unit for j in joints]).reshape(n, 3)
         # entry (i, a, b) of joint i's rotation is row pattern[a, b] of the
         # (5, n) table of values, column i
-        pattern = np.array([axis_rotation_pattern(j.axis) for j in joints], dtype=int)
+        pattern = np.array([AXIS_ROTATION_PATTERN[j.axis] for j in joints], dtype=int)
         blocks = np.arange(n)
         stacks = {
             "gravity": g,

@@ -52,22 +52,14 @@ def cross3(a, b) -> np.ndarray:
                      a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]), axis=-1)
 
 
-def rot_x(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-_AXIS_ROT = {"x": rot_x, "y": rot_y, "z": rot_z}
+# entry (a, b) of the rotation about each principal axis, as an index into the
+# values (0, 1, cos, sin, -sin); the scalar and the batched joint rotations
+# (RobotModel.joint_rotations) are both gathered through these patterns
+AXIS_ROTATION_PATTERN = {
+    "x": np.array([[1, 0, 0], [0, 2, 4], [0, 3, 2]]),
+    "y": np.array([[2, 0, 3], [0, 1, 0], [4, 0, 2]]),
+    "z": np.array([[2, 4, 0], [3, 2, 0], [0, 0, 1]]),
+}
 _AXIS_VEC = {
     "x": np.array([1.0, 0.0, 0.0]),
     "y": np.array([0.0, 1.0, 0.0]),
@@ -77,23 +69,24 @@ _AXIS_VEC = {
 
 def axis_rotation(axis: str, theta: float) -> np.ndarray:
     """Rotation about a named principal axis ('x', 'y' or 'z')."""
-    return _AXIS_ROT[axis](theta)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([0.0, 1.0, c, s, -s])[AXIS_ROTATION_PATTERN[axis]]
+
+
+def rot_x(theta: float) -> np.ndarray:
+    return axis_rotation("x", theta)
+
+
+def rot_y(theta: float) -> np.ndarray:
+    return axis_rotation("y", theta)
+
+
+def rot_z(theta: float) -> np.ndarray:
+    return axis_rotation("z", theta)
 
 
 def axis_vector(axis: str) -> np.ndarray:
     return _AXIS_VEC[axis]
-
-
-def axis_rotation_pattern(axis: str) -> np.ndarray:
-    """3x3 indices into (0, 1, cos, sin, -sin) that ``axis_rotation(axis, .)`` follows.
-
-    Read off ``axis_rotation`` itself at an angle where the five values differ,
-    so a rotation gathered through the pattern is the one it builds, bit for bit.
-    """
-    theta = 0.5
-    values = np.array([0.0, 1.0, np.cos(theta), np.sin(theta), -np.sin(theta)])
-    R = axis_rotation(axis, theta)
-    return np.argmax(R[:, :, None] == values, axis=2)
 
 
 def euler_xyz_to_rotation(alpha: float, beta: float, delta: float) -> np.ndarray:

@@ -296,6 +296,7 @@ def test_validate_names_file_and_key_of_a_malformed_robot(tmp_path, capsys, prob
     ("repetitions: true", "repetitions must be an integer, got True"),
     ("seed: -1", "seed must be >= 0"),
     ('dt_s: "fast"', "dt_s must be a number, got 'fast'"),
+    ("dt_s: " + "9" * 400, "dt_s must be a number in the float range"),
     ("initial_q_rad: [0, x]", "initial_q_rad must be a list of any number of finite numbers"),
     ("trajectory: {target_position_m: [1, 2]}",
      "trajectory: target_position_m must be a list of 3 finite numbers, got [1, 2]"),

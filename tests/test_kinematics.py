@@ -305,3 +305,15 @@ def test_pose_vector_round_trip():
     chi = pose.as_vector()
     assert np.allclose(chi[:3], p, atol=0.0)
     assert np.allclose(chi[3:], angles, atol=1e-12)
+
+
+def test_pose_rotation_is_the_orientations_or_the_checked_matrix():
+    R = rot_z(0.8)
+    q = quat_from_rotation(R)
+    assert np.allclose(Pose(np.zeros(3), q).rotation, q.rotation(), atol=0.0)
+    assert Pose.from_rotation(np.zeros(3), R).rotation.tobytes() == R.tobytes()
+    # the matrix is no constructor argument, so it cannot disagree with the quaternion
+    with pytest.raises(TypeError):
+        Pose(np.zeros(3), q, np.eye(3))
+    with pytest.raises(ValueError):
+        Pose.from_rotation(np.zeros(3), np.diag([1.0, 1.0, -1.0]))

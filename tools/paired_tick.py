@@ -1,15 +1,15 @@
 """Same-process paired timing of the control tick of two vdcnal source trees.
 
-    python3 tools/paired_tick.py BEFORE_SRC AFTER_SRC MANIFEST [--pairs N] [--duration S]
+    python3 tools/paired_tick.py BEFORE_SRC AFTER_SRC MANIFEST
 
 BEFORE_SRC and AFTER_SRC are directories that each hold a ``vdcnal`` package
 (for instance a ``src/`` of another checkout and this one's).  Both are
 imported into this one process under the names ``vdcnal_before`` and
 ``vdcnal_after``, so neither shadows the other.  MANIFEST is a path or a
 built-in manifest name; every repetition it asks for is run with
-``run_scenario``, and the two trees take turns, round after round (the
-``before`` tree first in even pairs), so a change in the host's speed hits
-both sides alike.
+``run_scenario`` at the sim file's own duration, and the two trees take
+turns for ``PAIRS`` rounds each (the ``before`` tree first in even pairs), so
+a change in the host's speed hits both sides alike.
 
 Each ``VdcController.step`` call is timed, and the figures are the
 benchmark's fast-state statistic (``window_figures`` in ``bench/worker.py``,
@@ -39,6 +39,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 from worker import window_figures  # noqa: E402  (the benchmark's own statistic)
 
+PAIRS = 5
+
 
 def load_tree(src: pathlib.Path, alias: str):
     """Import ``src/vdcnal`` as the package ``alias``; returns its simulation,
@@ -57,13 +59,11 @@ def load_tree(src: pathlib.Path, alias: str):
 class Side:
     """One source tree: its loaded manifest and the step timer around its controller."""
 
-    def __init__(self, name: str, src: pathlib.Path, manifest: str, duration: float | None):
+    def __init__(self, name: str, src: pathlib.Path, manifest: str):
         self.name = name
         self.simulation, config, controller = load_tree(src, f"vdcnal_{name}")
         loaded = config.load_manifest(config.resolve_config_path(manifest))
         self.model, self.cfg = loaded.load()
-        if duration is not None:
-            self.cfg.duration_s = duration
         self.adapters = (("nal", "projection") if loaded.scenario == "rrr-compare"
                          else (self.cfg.adapter,))
         self.runs = []
@@ -112,16 +112,13 @@ def main(argv=None) -> int:
     ap.add_argument("before", type=pathlib.Path)
     ap.add_argument("after", type=pathlib.Path)
     ap.add_argument("manifest")
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--duration", type=float, default=None,
-                    help="override the sim file's duration_s (seconds)")
     args = ap.parse_args(argv)
 
-    sides = {name: Side(name, src, args.manifest, args.duration)
+    sides = {name: Side(name, src, args.manifest)
              for name, src in (("before", args.before), ("after", args.after))}
     figures = {name: [] for name in sides}
     worst = ((0.0, None), (0.0, None))
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         logs = {}
         for name in (("before", "after") if pair % 2 == 0 else ("after", "before")):
             logs[name], (rate, step_ms) = sides[name].round()
@@ -136,7 +133,7 @@ def main(argv=None) -> int:
     won = [sum(bool(a[0] > b[0]) for a, b in zip(figures["after"], figures["before"])),
            sum(bool(a[1] < b[1]) for a, b in zip(figures["after"], figures["before"]))]
     result = {
-        "manifest": args.manifest, "pairs": args.pairs,
+        "manifest": args.manifest, "pairs": PAIRS,
         "sim_ticks_per_s": {"before": med["before"][0], "after": med["after"][0],
                             "after_won": won[0]},
         "control_step_p50_ms": {"before": med["before"][1], "after": med["after"][1],
