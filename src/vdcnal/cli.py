@@ -21,8 +21,8 @@ import sys
 import numpy as np
 import yaml
 
-from .config import (ConfigError, ExperimentManifest, load_manifest, load_robot,
-                     load_sim, resolve_config_path)
+from .config import (ConfigError, ExperimentManifest, load_manifest, load_mapping,
+                     load_robot, load_sim, resolve_config_path)
 from .simulation import RunLog, run_scenario, summarize, tuning_burden
 
 # recorded for context next to exo-pose results: operator-in-the-loop
@@ -98,11 +98,7 @@ def cmd_validate(paths) -> int:
     for name in paths:
         try:
             path = resolve_config_path(name)
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh)
-            if not isinstance(doc, dict):
-                raise ConfigError(f"{path}: top level must be a mapping")
-            kind = _classify(doc)
+            kind = _classify(load_mapping(path))
             if kind == "robot":
                 model = load_robot(path)
                 print(f"{name}: ok (robot {model.name!r}, {model.n} joints)")
@@ -114,7 +110,7 @@ def cmd_validate(paths) -> int:
                 cfg = load_sim(path)
                 print(f"{name}: ok (sim, scenario {cfg.scenario!r}, "
                       f"dt {cfg.dt_s:.12g} s, {cfg.duration_s:.12g} s)")
-        except (ConfigError, OSError, yaml.YAMLError, ValueError) as exc:
+        except (OSError, ValueError) as exc:        # a ConfigError is a ValueError
             print(f"{name}: FAIL {exc}", file=sys.stderr)
             failures += 1
     return 1 if failures else 0

@@ -53,12 +53,15 @@ def resolve_config_path(name: str, relative_to: pathlib.Path | None = None) -> p
     return builtin_config_path(name)
 
 
-def _load_yaml(path: pathlib.Path) -> dict:
+def load_mapping(path: pathlib.Path) -> dict:
+    """The YAML mapping in ``path``; any failure to read one is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
+    except ValueError as exc:           # e.g. an integer beyond int()'s digit limit
+        raise ConfigError(f"{path}: a value cannot be read ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return doc
@@ -143,8 +146,10 @@ def load_robot(path) -> RobotModel:
     Unknown keys are rejected at every level, and every number must be finite.
     """
     path = pathlib.Path(path)
-    doc = _only(_load_yaml(path), _ROBOT_KEYS, str(path))
+    doc = _only(load_mapping(path), _ROBOT_KEYS, str(path))
     name = _need(doc, "name", str(path))
+    if not isinstance(name, str):
+        raise ConfigError(f"{path}: name must be a string, got {name!r}")
     gravity = _vec(doc, "gravity_mps2", str(path), 3) if "gravity_mps2" in doc \
         else np.asarray(GRAVITY)
     base = _transform(_only(doc.get("base", {}), ("rotation_xyz_rad", "position_m"),
@@ -158,6 +163,8 @@ def load_robot(path) -> RobotModel:
         where = f"{path}:joints[{idx}]"
         jnode = _only(jnode, _JOINT_KEYS, where)
         jname = jnode.get("name", f"joint{idx}")
+        if not isinstance(jname, str):
+            raise ConfigError(f"{where}: name must be a string, got {jname!r}")
         axis = _need(jnode, "axis", where)
         if axis not in ("x", "y", "z"):
             raise ConfigError(f"{where}: axis must be 'x', 'y' or 'z'")
@@ -200,7 +207,7 @@ def _known_keys(spec, node, where: str) -> dict:
 def load_sim(path) -> SimConfig:
     """Read a simulation settings file; unknown keys are rejected at every level."""
     path = pathlib.Path(path)
-    doc = _known_keys(SimConfig, _load_yaml(path), str(path))
+    doc = _known_keys(SimConfig, load_mapping(path), str(path))
 
     def section(key, spec) -> dict:
         node = _known_keys(spec, doc.get(key, {}), f"{path}:{key}")
@@ -267,12 +274,16 @@ def load_manifest(path, output_override=None) -> ExperimentManifest:
     file is validated here, before any run starts.
     """
     path = pathlib.Path(path)
-    doc = _load_yaml(path)
+    doc = load_mapping(path)
     here = path.parent
     sim_path = resolve_config_path(str(_need(doc, "sim", str(path))), here)
     robot_path = resolve_config_path(str(_need(doc, "robot", str(path))), here)
-    output_dir = pathlib.Path(output_override if output_override is not None
-                              else _need(doc, "output_dir", str(path)))
+    output_dir = output_override
+    if output_dir is None:
+        output_dir = _need(doc, "output_dir", str(path))
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"{path}: output_dir must be a string, got {output_dir!r}")
+    output_dir = pathlib.Path(output_dir)
     cfg = load_sim(sim_path)
     cfg.scenario = doc.get("scenario", cfg.scenario)
     cfg.repetitions = _integer(doc, "repetitions", cfg.repetitions, str(path))

@@ -15,7 +15,7 @@ One control tick works on (n, ...) stacks along the chain and does, in order:
 3. the base-to-tip sweep of the actual and required velocities together, one
    product of X with the joint rates, and the acceleration sweep, one product
    of X with the per-link drive terms (the transform rates use the measured
-   joint rates); T-frame values follow from one batched tip-map product;
+   joint rates); T-frame velocities follow from one batched tip-map product;
 4. the (n, 6, 10) regressor in one build, and the required net wrenches
    W phi_hat + K_B (V_r - V) in one product;
 5. the tip-to-base force sweep, one product of X' with the required net
@@ -87,8 +87,8 @@ def propagate_accelerations(model: RobotModel, poses: ChainPoses, qdot, qddot, v
     velocities.  The joint-transform rate always uses the measured rates
     ``qdot`` because the frames move with the actual mechanism, so its term
     -qdot_i k x (R_i' V_T,i-1) is known for every link before the sweep,
-    which is then the chain operator applied to it.  Returns (ab, at), each
-    (n, 6).
+    which is then the chain operator applied to it.  Returns the (n, 6)
+    B-frame accelerations.
     """
     n = model.n
     inflow = np.zeros((n, 2, 3))
@@ -96,8 +96,7 @@ def propagate_accelerations(model: RobotModel, poses: ChainPoses, qdot, qddot, v
     # rows R_i' v, then k_i x (R_i' v), for the linear and angular halves
     drive = (-qdot[:, None, None] * ((inflow @ poses.Rj) @ model.axis_cross)).reshape(n, 6)
     drive[np.arange(n), model.slots] += qddot
-    ab = (poses.X @ drive.reshape(6 * n)).reshape(n, 6)
-    return ab, (model.tip_velocity @ ab[:, :, None])[:, :, 0]
+    return (poses.X @ drive.reshape(6 * n)).reshape(n, 6)
 
 
 def link_control_wrench(W, phi_hat, k_b, v_r, v) -> np.ndarray:
@@ -209,7 +208,7 @@ class VdcController:
         self._prev_qdot_r = qdot_r
 
         vb, vt, vrb, vrt = propagate_velocities(model, poses, qdot, qdot_r)
-        ar_b, _ = propagate_accelerations(model, poses, qdot, qddot_r, vrt)
+        ar_b = propagate_accelerations(model, poses, qdot, qddot_r, vrt)
         W = regressor(ar_b, vrb, np.swapaxes(poses.Rb, 1, 2), model.gravity)
         net_r = link_control_wrench(W, self.link_adapters.phi_hat(), g.k_b, vrb, vb)
         fr_b, fr_t = propagate_forces(model, poses, net_r, np.zeros(6))
@@ -255,7 +254,7 @@ def stability_diagnostics(model: RobotModel, snap: StepSnapshot, q, qdot, qddot,
         _monitor_constants = (model, np.array([mass_matrix(j.link) for j in model.joints]))
     mass = _monitor_constants[1]
     poses = snap.poses
-    ab, _ = propagate_accelerations(model, poses, qdot, qddot, snap.vt)
+    ab = propagate_accelerations(model, poses, qdot, qddot, snap.vt)
     net = body_wrenches(mass, ab, snap.vb, np.swapaxes(poses.Rb, 1, 2), model.gravity)
     fb, ft = propagate_forces(model, poses, net, tip_wrench)
 

@@ -14,11 +14,10 @@ Gravity is handled through the G term with g = [0, 0, 9.8] in the inertial
 frame; R_AI rotates inertial coordinates into the body frame.  The simulator
 and the controller both use this convention, so the sign cancels consistently.
 
-The stacked body wrenches use the compact Coriolis form, whose lower-right
-block is ``skew(omega) @ I``.  The plant in :mod:`vdcnal.simulation` builds
-its own in the center-of-mass form; the two differ as matrices but agree when
-applied to the velocity that generated them, so either yields the same net
-wrench.
+The stacked body wrenches take the velocity-product term as the spatial
+force cross product V x* (M V); the plant in :mod:`vdcnal.simulation` writes
+its bodies in base coordinates instead of their own frames and needs
+nothing from this module but the mass matrices.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import skew
+from .spatial import motion_cross, skew
 
 GRAVITY = np.array([0.0, 0.0, 9.8])
 
@@ -88,28 +87,15 @@ def mass_matrix(params: InertialParams) -> np.ndarray:
     return M
 
 
-def coriolis_matrix(mass, omega) -> np.ndarray:
-    """Compact Coriolis assembly [[m wx, -wx hx], [hx wx, wx I_bar]] from the
-    mass matrix (which carries m, skew(h) and I_bar); (..., 6, 6), (..., 3) in."""
-    mass = np.asarray(mass, dtype=float)
-    m, hx, inertia = mass[..., :1, :1], mass[..., 3:, :3], mass[..., 3:, 3:]
-    wx = skew(omega)
-    C = np.empty(wx.shape[:-2] + (6, 6))
-    C[..., :3, :3] = m * wx
-    C[..., :3, 3:] = -(wx @ hx)
-    C[..., 3:, :3] = hx @ wx
-    C[..., 3:, 3:] = wx @ inertia
-    return C
-
-
 def body_wrenches(mass, accel, vel, R_AI, g=GRAVITY) -> np.ndarray:
-    """Net wrenches M a + C(omega) V + G of a stack of bodies, (n, 6), from
-    their (n, 6, 6) mass matrices; G = [m R_AI g, h x (R_AI g)]."""
-    ga = R_AI @ g
-    G = np.concatenate((mass[:, :1, 0] * ga, (mass[:, 3:, :3] @ ga[:, :, None])[:, :, 0]),
-                       axis=1)
-    C = coriolis_matrix(mass, vel[:, 3:])
-    return (mass @ accel[:, :, None] + C @ vel[:, :, None])[:, :, 0] + G
+    """Net wrenches M (a + [R_AI g, 0]) - crm(V)' M V of a stack of bodies, (n, 6),
+    from their (n, 6, 6) mass matrices: the velocity-product term is V x* (M V)."""
+    av = np.empty(accel.shape + (2,))
+    av[..., 0] = accel
+    av[..., :3, 0] += R_AI @ g
+    av[..., 1] = vel
+    Mav = mass @ av
+    return Mav[..., 0] - (motion_cross(vel).swapaxes(-1, -2) @ Mav[..., 1:])[..., 0]
 
 
 # (w @ _OMEGA_BASIS) holds omega_dot_operator(w) row by row: a 1 at [component,

@@ -1,20 +1,29 @@
 """Plant simulation and scenario harness.
 
-The plant side deliberately does not reuse the controller's sweeps: its
-dynamics is its own recursive Newton-Euler pass over per-link constants it
-builds itself, and it assembles net wrenches with the original
-(center-of-mass) Coriolis form, so agreement with the controller-side force
-propagation is a genuine cross-check rather than the same code run twice.
+The plant side deliberately does not reuse the controller's sweeps or its
+chain poses.  The controller works in each link's own frame and composes
+link-to-link transforms; the plant writes every spatial vector in base
+coordinates about the base origin, from per-link constants it builds itself,
+and forms net wrenches with the spatial cross product rather than the
+regressor.  Another frame, another velocity-product form and another
+composition make agreement with the controller-side force propagation a
+genuine cross-check rather than the same code run twice.
 
 The joint-space plant is
 
     (M_link(q) + diag(I_m)) qddot + bias(q, qdot) = tau + J^T f_ext.
 
-One recursion yields both sides: it carries the bias column (zero
-acceleration) and the n unit-acceleration columns of M_link through one
-forward and one backward pass.  External wrenches act at the tip-frame origin
-and are given in world coordinates; the recursion sees their negative,
-rotated into the tip frame.
+In base coordinates joint i moves along S_i = [p_i x u_i, u_i], and both
+sides are prefix sums along the chain, the base-coordinate recursive
+Newton-Euler and composite-rigid-body algorithms (Featherstone, *Rigid Body
+Dynamics Algorithms*, 2008, ch. 5-6): velocities and accelerations are
+cumulative sums of joint terms, the bias torques are S_i' times the reverse
+cumulative sum of the net wrenches, and M_ij = S_i' Ic_max(i,j) S_j with Ic
+the reverse cumulative sum of the base-frame inertias.  Only the frame
+rotations' prefix product runs along the chain, as a log-depth scan.  The
+reference point is the base origin, not the world origin, so a base placed
+far away costs no precision.  External wrenches act at the tip-frame origin
+and are given in world coordinates; the chain passes on their negative.
 
 Scenario runs are deterministic: all randomness flows through one seeded
 generator, and a re-run with the same configs and seed reproduces the run
@@ -34,7 +43,7 @@ from .controller import (ControllerGains, StabilityDiagnostics, VdcController,
 from .kinematics import (CartesianQuinticReference, JointSineReference, RobotModel,
                          forward_kinematics)
 from .rigid_body import mass_matrix
-from .spatial import skew
+from .spatial import motion_cross, skew
 
 
 def _as_world_wrench(f_ext) -> np.ndarray | None:
@@ -48,34 +57,26 @@ def _as_world_wrench(f_ext) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class _PlantConstants:
-    """Per-link constants of the plant recursion, stacked along the chain."""
+    """Per-link constants of the plant, stacked along the chain, and its index tables."""
 
-    slots: tuple[int, ...]          # angular slot of each joint axis
-    turn: np.ndarray                # blockdiag(skew(k), skew(k)), k the axis unit
-    tip: np.ndarray                 # velocity map B_i -> T_i from Rt^T, skew(r)
-    mass: np.ndarray                # spatial mass matrices
-    m: np.ndarray                   # (n, 1, 1)
-    hx: np.ndarray                  # skew(h)
-    rx: np.ndarray                  # skew(com)
-    inertia_com: np.ndarray
+    mass: np.ndarray                # (n, 6, 6) spatial mass matrices, each in its B frame
+    mount: np.ndarray               # (n, 3, 3) T_{i-1} in B_{i-1}: I at the base, then tip R
+    tip_r: np.ndarray               # (n, 3) B_i -> T_i offsets, in B_i
     motor: np.ndarray               # diag(I_m)
+    axis: tuple                     # (links, axis column): each joint axis in its B rotation
+    upper: np.ndarray               # (n, n) flat index of (min(i, j), max(i, j)) in n x n
 
     @classmethod
     def build(cls, model: RobotModel) -> "_PlantConstants":
         n = model.n
-        turn, tip = np.zeros((2, n, 6, 6))
-        for i, joint in enumerate(model.joints):
-            turn[i, :3, :3] = turn[i, 3:, 3:] = skew(joint.axis_unit)
-            tip[i, :3, :3] = tip[i, 3:, 3:] = joint.tip.R.T
-            tip[i, :3, 3:] = -joint.tip.R.T @ skew(joint.tip.r)
-        links = [joint.link for joint in model.joints]
-        m = np.array([link.mass for link in links]).reshape(n, 1, 1)
-        rx = np.array([skew(link.com) for link in links])
-        return cls(tuple(model.slots.tolist()), turn, tip,
-                   np.array([mass_matrix(link) for link in links]), m,
-                   np.array([skew(link.first_moment) for link in links]), rx,
-                   np.array([link.inertia for link in links]) + m * (rx @ rx),
-                   np.diag([j.motor_inertia for j in model.joints]))
+        i, j = np.indices((n, n))
+        return cls(np.array([mass_matrix(joint.link) for joint in model.joints]),
+                   np.array([np.eye(3)] + [joint.tip.R for joint in model.joints[:-1]]),
+                   np.array([joint.tip.r for joint in model.joints]),
+                   np.diag([joint.motor_inertia for joint in model.joints]),
+                   (np.arange(n), np.array(["xyz".index(joint.axis)
+                                            for joint in model.joints])),
+                   np.minimum(i, j) * n + np.maximum(i, j))
 
 
 # the last model the plant saw, held (so its id cannot be reused) and compared by `is`
@@ -83,14 +84,13 @@ _cached_constants: tuple[RobotModel, _PlantConstants] | None = None
 
 
 def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=None,
-                  mass_columns: bool = True):
-    """(bias, M_link + diag(I_m)) from one pass; M is None without ``mass_columns``.
+                  with_mass: bool = True):
+    """(bias, M_link + diag(I_m)); M is None without ``with_mass``.
 
-    The forward pass carries [v | a | A] per B frame: velocity, bias acceleration
-    (rates, gravity as an upward base acceleration, optional ``qddot``) and one
-    unit-acceleration column per joint (zero rates and gravity).  Net wrenches are
-    M_i [a | A] plus C(omega_i) v on the bias column, C in the center-of-mass
-    (original) form; one backward pass carries every column down.
+    The prefix sums of the module docstring, in base coordinates about the base
+    origin: v = cumsum(S qdot); a = cumsum(S qddot + v x S qdot) on top of
+    gravity as an upward base acceleration; net wrenches I a + v x* I v with
+    the base-frame inertias I = Y' M Y.
     """
     global _cached_constants
     if _cached_constants is None or _cached_constants[0] is not model:
@@ -98,51 +98,50 @@ def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=No
     k = _cached_constants[1]
     n = model.n
     g = model.gravity if gravity is None else np.asarray(gravity, dtype=float)
+    qdot = np.asarray(qdot, dtype=float)
 
-    X = np.zeros((6, 2 + n if mass_columns else 2))
-    X[:3, 1] = model.base.R.T @ g
-    frames = np.empty((n, 6, X.shape[1]))
-    rotations = model.joint_rotations(np.asarray(q, dtype=float))
-    for i, slot in enumerate(k.slots):
-        X = (rotations[i].T @ X.reshape(2, 3, -1)).reshape(6, -1)
-        X[:, 1] -= qdot[i] * (k.turn[i] @ X[:, 0])
-        X[slot, 0] += qdot[i]
-        if qddot is not None:
-            X[slot, 1] += qddot[i]
-        if mass_columns:
-            X[slot, 2 + i] = 1.0
-        frames[i] = X
-        X = k.tip[i] @ X
+    # B_i rotations in the base, Rb_i = Rb_{i-1} Rtip_{i-1} Rj_i, by a log-depth scan
+    Rb = k.mount @ model.joint_rotations(np.asarray(q, dtype=float))
+    step = 1
+    while step < n:
+        Rb[step:] = Rb[:-step] @ Rb[step:]
+        step *= 2
+    # skew of each joint origin p_i, and last that of the tip-frame origin
+    px = skew(np.concatenate((np.zeros((1, 3)),
+                              np.add.accumulate((Rb @ k.tip_r[:, :, None])[:, :, 0]))))
+    u = Rb[k.axis[0], :, k.axis[1]]
+    S = np.concatenate(((px[:-1] @ u[:, :, None])[:, :, 0], u), axis=1)
 
-    # net wrench of every link in its B frame, all links at once
-    net = k.mass @ frames[:, :, 1:]
-    v = frames[:, :, 0]
-    wx = skew(v[:, 3:])
-    C = np.empty((n, 6, 6))
-    C[:, :3, :3] = k.m * wx
-    C[:, :3, 3:] = -(wx @ k.hx)
-    C[:, 3:, :3] = k.hx @ wx
-    C[:, 3:, 3:] = wx @ k.inertia_com + k.inertia_com @ wx - k.m * (k.rx @ wx @ k.rx)
-    net[:, :, 0] += (C @ v[:, :, None])[:, :, 0]
+    # [a | v] per link; the gravity row enters the first link's drive term
+    av = np.empty((n, 6, 2))
+    Sq = S * qdot[:, None]
+    v = np.add.accumulate(Sq, out=av[:, :, 1])
+    crm = motion_cross(v)
+    drive = (crm @ Sq[:, :, None])[:, :, 0]
+    if qddot is not None:
+        drive += S * np.asarray(qddot, dtype=float)[:, None]
+    drive[0, :3] += model.base.R.T @ g
+    np.add.accumulate(drive, out=av[:, :, 0])
+
+    # base-frame inertias Y' M Y, Y_i the velocity map from the base to B_i
+    Y = np.zeros((n, 6, 6))
+    Y[:, :3, :3] = Y[:, 3:, 3:] = Rb.transpose(0, 2, 1)
+    Y[:, :3, 3:] = Y[:, :3, :3] @ -px[:-1]
+    inertia = Y.transpose(0, 2, 1) @ k.mass @ Y
+    Iav = inertia @ av
+    net = Iav[:, :, 0] - (crm.transpose(0, 2, 1) @ Iav[:, :, 1:])[:, :, 0]
 
     w_ext = _as_world_wrench(f_ext)
-    if w_ext is not None:           # the chain passes on -f_ext at T_n
-        RT = model.base.R.T
-        for Rj, tip in zip(rotations, k.tip):
-            RT = tip[:3, :3] @ (Rj.T @ RT)
-        net[n - 1, :, 0] -= k.tip[n - 1].T @ np.concatenate((RT @ w_ext[:3], RT @ w_ext[3:]))
-
-    rows = np.empty((n, net.shape[2]))
-    f = net[n - 1]
-    for j in range(n - 1, -1, -1):
-        rows[j] = f[k.slots[j]]
-        if j:
-            f = net[j - 1] + k.tip[j - 1].T @ (
-                rotations[j] @ f.reshape(2, 3, -1)).reshape(6, -1)
-    if not mass_columns:
-        return rows[:, 0], None
-    M = rows[:, 1:] + k.motor
-    return rows[:, 0], 0.5 * (M + M.T)
+    if w_ext is not None:           # the chain passes on -f_ext at the tip
+        f, m = w_ext.reshape(2, 3) @ model.base.R       # both in base coordinates
+        net[-1, :3] -= f
+        net[-1, 3:] -= m + px[-1] @ f
+    bias = (S * np.add.accumulate(net[::-1])[::-1]).sum(axis=1)
+    if not with_mass:
+        return bias, None
+    composite = np.add.accumulate(inertia[::-1])[::-1]
+    SIS = S @ (composite @ S[:, :, None])[:, :, 0].T
+    return bias, SIS.take(k.upper) + k.motor
 
 
 def inverse_dynamics(model: RobotModel, q, qdot, qddot, f_ext=None,
@@ -154,7 +153,7 @@ def inverse_dynamics(model: RobotModel, q, qdot, qddot, f_ext=None,
     chain passes on its negative at T_n.  ``gravity`` overrides the model's
     inertial-frame gravity vector (used to switch gravity off).
     """
-    return _newton_euler(model, q, qdot, qddot, f_ext, gravity, mass_columns=False)[0]
+    return _newton_euler(model, q, qdot, qddot, f_ext, gravity, with_mass=False)[0]
 
 
 def joint_space_mass_matrix(model: RobotModel, q) -> np.ndarray:
@@ -165,8 +164,8 @@ def joint_space_mass_matrix(model: RobotModel, q) -> np.ndarray:
 def forward_dynamics(model: RobotModel, q, qdot, tau, f_ext=None) -> np.ndarray:
     """Solve (M_link + diag(I_m)) qddot = tau - bias(q, qdot, f_ext).
 
-    Bias and mass matrix come from one recursion; ``f_ext`` enters through the
-    bias column (Jacobian-transpose coupling without forming J).
+    Bias and mass matrix come from one pass of prefix sums; ``f_ext`` enters
+    through the bias (Jacobian-transpose coupling without forming J).
     """
     bias, M = _newton_euler(model, q, qdot, f_ext=f_ext)
     return np.linalg.solve(M, np.asarray(tau, dtype=float) - bias)

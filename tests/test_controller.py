@@ -94,7 +94,8 @@ def test_propagate_accelerations_matches_finite_differences(arm7):
         return vb, vt
 
     vb0, vt0 = vels(0.0)
-    ab, at = propagate_accelerations(arm7, chain_poses(arm7, q), qdot, qddot, vt0)
+    ab = propagate_accelerations(arm7, chain_poses(arm7, q), qdot, qddot, vt0)
+    at = (arm7.tip_velocity @ ab[:, :, None])[:, :, 0]
     (vb_p, vt_p), (vb_m, vt_m) = vels(h), vels(-h)
     assert np.allclose(ab, (vb_p - vb_m) / (2 * h), atol=1e-6)
     assert np.allclose(at, (vt_p - vt_m) / (2 * h), atol=1e-6)

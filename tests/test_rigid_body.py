@@ -5,13 +5,13 @@ import pytest
 from conftest import random_consistent_params, random_rotation
 from oracles import (
     assemble_matrices,
+    coriolis_matrix,
     coriolis_matrix_original,
     gravity_wrench,
     net_wrench,
 )
 from vdcnal.rigid_body import (
     InertialParams,
-    coriolis_matrix,
     inertia_to_vector,
     mass_matrix,
     omega_dot_operator,

@@ -7,12 +7,12 @@ import pytest
 
 import vdcnal.simulation as simulation
 import vdcnal.spatial as spatial
-from conftest import pendulum_accel, zero_gravity_clone
+from conftest import pendulum_accel, random_rotation, zero_gravity_clone
 from oracles import coriolis_matrix_original, gravity_wrench
 from vdcnal.config import builtin_config_path, load_robot, load_sim
-from vdcnal.kinematics import chain_poses, jacobian
+from vdcnal.kinematics import RobotModel, chain_poses, jacobian
 from vdcnal.rigid_body import mass_matrix
-from vdcnal.spatial import axis_rotation, cross3, skew
+from vdcnal.spatial import FrameTransform, axis_rotation, cross3, skew
 from vdcnal.simulation import (
     AdaptationSpec,
     DisturbanceSpec,
@@ -135,6 +135,26 @@ def test_fused_recursion_matches_two_pass_oracle(rrr3, arm7, pendulum):
                         _oracle_inverse_dynamics(model, q, qdot, qddot, f_ext, gravity))
                 _assert_close(forward_dynamics(model, q, qdot, tau, f_ext),
                               _oracle_forward_dynamics(model, q, qdot, tau, f_ext))
+
+
+def test_plant_is_invariant_to_the_base_pose(arm7):
+    # the plant works about the base origin, so a base far from the world
+    # origin costs no precision: no p x f terms of size |base| cancel
+    rng = np.random.default_rng(69)
+    moved = RobotModel(name=arm7.name, joints=arm7.joints, gravity=arm7.gravity,
+                       base=FrameTransform(random_rotation(rng) @ arm7.base.R,
+                                           arm7.base.r + np.array([100.0, -50.0, 30.0])))
+    for _ in range(50):
+        q = rng.uniform(-np.pi, np.pi, 7)
+        qdot = 2.0 * rng.standard_normal(7)
+        qddot, tau = rng.standard_normal((2, 7))
+        F = rng.standard_normal(6)
+        _assert_close(joint_space_mass_matrix(moved, q), _oracle_mass_matrix(moved, q))
+        for f_ext in (None, F):
+            _assert_close(inverse_dynamics(moved, q, qdot, qddot, f_ext),
+                          _oracle_inverse_dynamics(moved, q, qdot, qddot, f_ext))
+            _assert_close(forward_dynamics(moved, q, qdot, tau, f_ext),
+                          _oracle_forward_dynamics(moved, q, qdot, tau, f_ext))
 
 
 def test_plant_constants_follow_the_model(rrr3, arm7, tmp_path):

@@ -56,9 +56,8 @@ def test_sweeps_match_per_link_sweeps(model):
         for got, want in zip(propagate_velocities(model, poses, qd, qd_r), velocities):
             _assert_close(got, want)
         vt = velocities[1]
-        for got, want in zip(propagate_accelerations(model, poses, qd, qdd, vt),
-                             propagate_accelerations_per_link(model, q, qd, qdd, vt)):
-            _assert_close(got, want)
+        _assert_close(propagate_accelerations(model, poses, qd, qdd, vt),
+                      propagate_accelerations_per_link(model, q, qd, qdd, vt)[0])
         net, tip = rng.standard_normal((model.n, 6)), rng.standard_normal(6)
         for got, want in zip(propagate_forces(model, poses, net, tip),
                              propagate_forces_per_link(model, q, net, tip)):
@@ -71,9 +70,8 @@ def test_operator_sweeps_as_the_controller_calls_them(model):
     # measured rates in the transform rate) and passes a zero tip wrench
     for rng, q, poses, qd, qd_r, qdd in _chain_states(model, 74):
         vrt = propagate_velocities_per_link(model, q, qd, qd_r)[3]
-        for got, want in zip(propagate_accelerations(model, poses, qd, qdd, vrt),
-                             propagate_accelerations_per_link(model, q, qd, qdd, vrt)):
-            _assert_close(got, want)
+        _assert_close(propagate_accelerations(model, poses, qd, qdd, vrt),
+                      propagate_accelerations_per_link(model, q, qd, qdd, vrt)[0])
         net = rng.standard_normal((model.n, 6))
         for got, want in zip(propagate_forces(model, poses, net, np.zeros(6)),
                              propagate_forces_per_link(model, q, net, np.zeros(6))):
