@@ -15,10 +15,14 @@ Two laws share the same per-body signal s = W' (V_r - V):
 
 The scalar variants of the natural law (for the joint drive inertias, a
 one-parameter body) reduce to l+ = l exp(dt s l / gamma).
+
+Each law is one adapter class that holds its state for a whole chain and
+whose ``update`` is the law's step: ``NalLinkAdapter`` (the estimates L, their
+eigendecomposition and gamma), ``NalJointAdapter`` (the scalar law),
+``ProjectionAdapter`` (estimates, rates and box, checked once at
+construction) and ``FrozenAdapter`` (rate zero).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,105 +58,6 @@ def _congruence(Q, d) -> np.ndarray:
     return (Q * d[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
-@dataclass(frozen=True)
-class NalState:
-    """Stacked pseudo-inertia estimates (n, 4, 4), their eigendecomposition
-    L = Q diag(w) Q' (w ascending), and the single adaptation gain."""
-
-    L: np.ndarray
-    w: np.ndarray
-    Q: np.ndarray
-    gamma: float
-
-    @classmethod
-    def from_pseudo(cls, L, gamma: float) -> "NalState":
-        """Checked state from a (4, 4) matrix or an (n, 4, 4) stack."""
-        L = np.array(L, dtype=float)
-        L = L.reshape((-1,) + L.shape[-2:])
-        if L.shape[1:] != (4, 4) or np.max(np.abs(L - np.swapaxes(L, 1, 2))) > \
-                1e-9 * (1.0 + np.max(np.abs(L))):
-            raise ValueError("NalState.L must be symmetric 4x4")
-        if not gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        L = 0.5 * (L + np.swapaxes(L, 1, 2))
-        return cls(L, *np.linalg.eigh(L), float(gamma))
-
-    @classmethod
-    def from_params(cls, phi, gamma: float) -> "NalState":
-        """From InertialParams, a (10,) vector or an (n, 10) stack."""
-        return cls.from_pseudo(params_to_pseudo(phi), gamma)
-
-    def min_eig(self) -> np.ndarray:
-        return self.w[:, 0]
-
-
-def nal_step(state: NalState, s, dt: float, method: str = "geometric") -> NalState:
-    """Advance every estimate of the stack by one sample of the natural law.
-
-    ``s`` is the (n, 10) signal.  ``geometric`` (default) is the
-    congruence/exponential step, which keeps L positive definite for any dt
-    and s; it forms L^1/2 from the carried decomposition.  ``euler`` is the
-    plain first-order step, retained as a cross-check.  Either way the new L
-    is decomposed once, for the next step and for the readers of the state.
-    """
-    S = solve_dual(s)
-    if method == "geometric":
-        if np.any(state.w[:, 0] <= 0.0):
-            raise ValueError("pseudo-inertia lost positive definiteness")
-        H = _congruence(state.Q, np.sqrt(state.w))
-        A = (dt / state.gamma) * (H @ S @ H)
-        e, V = np.linalg.eigh(0.5 * (A + np.swapaxes(A, 1, 2)))
-        L_new = H @ _congruence(V, np.exp(e)) @ H
-    elif method == "euler":
-        L_new = state.L + (dt / state.gamma) * (state.L @ S @ state.L)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    L_new = 0.5 * (L_new + np.swapaxes(L_new, 1, 2))
-    return NalState(L_new, *np.linalg.eigh(L_new), state.gamma)
-
-
-def nal_step_scalar(l, s, gamma: float, dt: float):
-    """One-parameter natural law, elementwise: l+ = l exp(dt s l / gamma); l stays positive."""
-    if np.any(np.asarray(l) <= 0.0):
-        raise ValueError("scalar pseudo-inertia must be positive")
-    return l * np.exp(dt * s * l / gamma)
-
-
-@dataclass(frozen=True)
-class ProjectionState:
-    """Per-channel estimate with box bounds and per-channel rates."""
-
-    theta: np.ndarray
-    rho: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        for name in ("theta", "rho", "lower", "upper"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        for name in ("rho", "lower", "upper"):
-            if getattr(self, name).shape != self.theta.shape:
-                raise ValueError("projection state arrays must share one length")
-        if np.any(~np.isfinite(self.lower)) or np.any(~np.isfinite(self.upper)):
-            raise ValueError("projection bounds must be finite")
-        if np.any(self.lower >= self.upper):
-            raise ValueError("projection bounds must satisfy lower < upper")
-        if np.any(self.rho <= 0.0):
-            raise ValueError("projection rates must be positive")
-
-
-def projection_step(state: ProjectionState, s, dt: float) -> ProjectionState:
-    """Euler step of the projected gradient law; bounds freeze outward updates."""
-    s = np.asarray(s, dtype=float).reshape(state.theta.shape)
-    kappa = np.ones_like(state.theta)
-    kappa[(state.theta <= state.lower) & (s <= 0.0)] = 0.0
-    kappa[(state.theta >= state.upper) & (s >= 0.0)] = 0.0
-    theta = np.clip(state.theta + dt * state.rho * s * kappa, state.lower, state.upper)
-    return ProjectionState(theta, state.rho, state.lower, state.upper)
-
-
 def initial_link_estimate(phi: InertialParams, scale: float = 0.5) -> InertialParams:
     """Default initial guess: scaled mass/first moment, diagonalized inertia.
 
@@ -164,11 +69,11 @@ def initial_link_estimate(phi: InertialParams, scale: float = 0.5) -> InertialPa
                           np.diag(np.diag(scale * phi.inertia)))
 
 
-# --- adapters: the per-law objects the controller and the monitor use --------
+# --- adapters: one class per law, run for a whole chain ---------------------
 #
-# One adapter object runs one law for a whole chain: the n links, or the n
-# joint drives.  Every adapter has one method set, over stacks with one row
-# per body:
+# One adapter object carries one law's state for the n links, or the n joint
+# drives, and advances it in place.  Every adapter has one method set, over
+# stacks with one row per body:
 #
 #   phi_hat()        the estimates as parameter vectors: (n, 10) for links,
 #                    (n, 1) (the drive inertias) for drives;
@@ -183,7 +88,8 @@ def initial_link_estimate(phi: InertialParams, scale: float = 0.5) -> InertialPa
 #                    ``truth`` has the shape phi_hat() has.
 #
 # So runs can mix laws or freeze parameters without the controller or the
-# monitor knowing which law a body uses.
+# monitor knowing which law a body uses.  ``update`` rebinds the state to new
+# arrays, so an array phi_hat() returned earlier keeps its values.
 
 
 def _min_eig(phi) -> np.ndarray:
@@ -213,10 +119,21 @@ class FrozenAdapter:
 
 
 class ProjectionAdapter:
-    """Per-channel projection law, on the links' ten channels or the drives' one."""
+    """Per-channel projection law on the links' ten channels or the drives' one:
+    estimates ``theta``, rates ``rho`` and the box [``lower``, ``upper``], all of
+    one shape, and checked once, here."""
 
-    def __init__(self, state: ProjectionState):
-        self.state = state
+    def __init__(self, theta, rho, lower, upper):
+        self.theta, self.rho, self.lower, self.upper = (
+            np.array(a, dtype=float) for a in (theta, rho, lower, upper))
+        if any(a.shape != self.theta.shape for a in (self.rho, self.lower, self.upper)):
+            raise ValueError("projection arrays must share one length")
+        if not np.all(np.isfinite((self.theta, self.rho, self.lower, self.upper))):
+            raise ValueError("projection estimates, rates and bounds must be finite")
+        if np.any(self.lower >= self.upper):
+            raise ValueError("projection bounds must satisfy lower < upper")
+        if np.any(self.rho <= 0.0):
+            raise ValueError("projection rates must be positive")
 
     @classmethod
     def around_truth(cls, truth, theta0, rho: float, bound_scale: float = 1.0,
@@ -227,27 +144,38 @@ class ProjectionAdapter:
         half = np.maximum(bound_scale * np.abs(truth), bound_floor)
         theta0 = np.clip(np.asarray(theta0, dtype=float).reshape(truth.shape),
                          truth - half, truth + half)
-        return cls(ProjectionState(theta0, np.full(truth.shape, rho),
-                                   truth - half, truth + half))
+        return cls(theta0, np.full(truth.shape, rho), truth - half, truth + half)
 
     def phi_hat(self) -> np.ndarray:
-        return self.state.theta
+        return self.theta
 
     def update(self, S, dt):
-        self.state = projection_step(self.state, S, dt)
+        """Euler step of the projected gradient law.  The clip is the law's
+        freeze: a channel at a bound whose update points outside stays there."""
+        s = np.asarray(S, dtype=float).reshape(self.theta.shape)
+        self.theta = np.clip(self.theta + dt * self.rho * s, self.lower, self.upper)
 
     def min_eig(self) -> np.ndarray:
-        return _min_eig(self.state.theta)
+        return _min_eig(self.theta)
 
     def distance(self, truth) -> np.ndarray:
-        return 0.5 * np.sum((self.state.theta - truth) ** 2 / self.state.rho, axis=1)
+        return 0.5 * np.sum((self.theta - truth) ** 2 / self.rho, axis=1)
 
 
 class NalLinkAdapter:
-    """Natural law on the links' pseudo-inertias, one stacked state."""
+    """Natural law on the links' pseudo-inertias: the (n, 4, 4) estimates ``L``,
+    their eigendecomposition L = Q diag(w) Q' (``w`` ascending) and the one gain
+    ``gamma``.  ``method`` is ``geometric`` (the congruence step, default) or
+    ``euler``."""
 
     def __init__(self, phi0, gamma: float, method: str = "geometric", truth=None):
-        self.state = NalState.from_params(phi0, gamma)
+        if not gamma > 0.0:
+            raise ValueError("gamma must be positive")
+        if method not in ("geometric", "euler"):
+            raise ValueError(f"unknown method {method!r}")
+        self.L = params_to_pseudo(phi0).reshape(-1, 4, 4)
+        self.w, self.Q = np.linalg.eigh(self.L)
+        self.gamma = float(gamma)
         self.method = method
         self._truth = (None,)
         if truth is not None:
@@ -262,18 +190,33 @@ class NalLinkAdapter:
         return self._truth[1:]
 
     def phi_hat(self) -> np.ndarray:
-        return pseudo_to_vectors(self.state.L)
+        return pseudo_to_vectors(self.L)
 
     def update(self, S, dt):
-        self.state = nal_step(self.state, S, dt, self.method)
+        """One sample of the law for every link.  The geometric step keeps L
+        positive definite for any dt and S and forms L^1/2 from the carried
+        decomposition; the Euler step is the plain first-order one, kept as a
+        cross-check.  Either way the new L is decomposed once, for the next
+        step and for ``min_eig`` and ``distance``."""
+        S = solve_dual(S)
+        if self.method == "geometric":
+            if np.any(self.w[:, 0] <= 0.0):
+                raise ValueError("pseudo-inertia lost positive definiteness")
+            H = _congruence(self.Q, np.sqrt(self.w))
+            A = (dt / self.gamma) * (H @ S @ H)
+            e, V = np.linalg.eigh(0.5 * (A + np.swapaxes(A, 1, 2)))
+            L = H @ _congruence(V, np.exp(e)) @ H
+        else:
+            L = self.L + (dt / self.gamma) * (self.L @ S @ self.L)
+        self.L = 0.5 * (L + np.swapaxes(L, 1, 2))
+        self.w, self.Q = np.linalg.eigh(self.L)
 
     def min_eig(self) -> np.ndarray:
-        return self.state.min_eig()
+        return self.w[:, 0]
 
     def distance(self, truth) -> np.ndarray:
         """Log-det Bregman divergences of the estimates from the truth, over 2 gamma."""
-        state = self.state
-        return bregman_divergence(*self._truth_side(truth), state.w, state.Q) / (2.0 * state.gamma)
+        return bregman_divergence(*self._truth_side(truth), self.w, self.Q) / (2.0 * self.gamma)
 
 
 class NalJointAdapter:
@@ -288,7 +231,9 @@ class NalJointAdapter:
         return self._l
 
     def update(self, S, dt):
-        self._l = nal_step_scalar(self._l, S, self.gamma, dt)
+        if np.any(self._l <= 0.0):
+            raise ValueError("scalar pseudo-inertia must be positive")
+        self._l = self._l * np.exp(dt * S * self._l / self.gamma)
 
     def min_eig(self) -> np.ndarray:
         return self._l[:, 0]

@@ -80,6 +80,9 @@ def read_run_csv(path) -> RunLog:
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed data row ({exc})") from exc
     data = data.reshape(-1, len(columns)) if body else np.empty((0, len(columns)))
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ConfigError(f"{path}: meta block lacks key {missing[0]!r}")
     return RunLog(columns, data, meta, {})
 
 
@@ -88,7 +91,7 @@ def read_run_csv(path) -> RunLog:
 def _classify(doc: dict) -> str:
     if "joints" in doc:
         return "robot"
-    if "robot" in doc and "sim" in doc:
+    if {"robot", "sim", "output_dir"} & set(doc):     # keys only a manifest has
         return "manifest"
     return "sim"
 

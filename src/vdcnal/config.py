@@ -62,6 +62,8 @@ def load_mapping(path: pathlib.Path) -> dict:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     except ValueError as exc:           # e.g. an integer beyond int()'s digit limit
         raise ConfigError(f"{path}: a value cannot be read ({exc})") from exc
+    except OSError as exc:              # e.g. a directory, or no permission
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror or exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return doc
@@ -266,6 +268,9 @@ class ExperimentManifest:
         return self.model, self.cfg
 
 
+_MANIFEST_KEYS = ("scenario", "robot", "sim", "output_dir", "repetitions", "seed")
+
+
 def load_manifest(path, output_override=None) -> ExperimentManifest:
     """Read a run manifest and the two files it names, each once.
 
@@ -274,7 +279,7 @@ def load_manifest(path, output_override=None) -> ExperimentManifest:
     file is validated here, before any run starts.
     """
     path = pathlib.Path(path)
-    doc = load_mapping(path)
+    doc = _only(load_mapping(path), _MANIFEST_KEYS, str(path))
     here = path.parent
     sim_path = resolve_config_path(str(_need(doc, "sim", str(path))), here)
     robot_path = resolve_config_path(str(_need(doc, "robot", str(path))), here)
@@ -283,6 +288,8 @@ def load_manifest(path, output_override=None) -> ExperimentManifest:
         output_dir = _need(doc, "output_dir", str(path))
         if not isinstance(output_dir, str):
             raise ConfigError(f"{path}: output_dir must be a string, got {output_dir!r}")
+        if not output_dir:
+            raise ConfigError(f"{path}: output_dir must not be empty")
     output_dir = pathlib.Path(output_dir)
     cfg = load_sim(sim_path)
     cfg.scenario = doc.get("scenario", cfg.scenario)

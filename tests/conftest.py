@@ -163,4 +163,16 @@ MALFORMED_MANIFESTS = {
     "output_dir_a_list": (
         lambda t: t.replace("output_dir: out", "output_dir: [out]"),
         "man.yaml: output_dir must be a string, got ['out']"),
+    "output_dir_empty": (
+        lambda t: t.replace("output_dir: out", 'output_dir: ""'),
+        "man.yaml: output_dir must not be empty"),
+    "unknown_key": (
+        lambda t: t + "repetition: 3\n",
+        "man.yaml: unknown keys ['repetition']"),
+    "sim_missing": (
+        lambda t: t.replace("sim: exo_pose\n", ""),
+        "man.yaml: missing required key 'sim'"),
+    "robot_missing": (
+        lambda t: t.replace("robot: arm7\n", ""),
+        "man.yaml: missing required key 'robot'"),
 }

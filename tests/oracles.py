@@ -4,7 +4,8 @@ None of these runs in a simulation: each restates a quantity the library
 computes another way (an SPD distance, the center-of-mass Coriolis form, the
 per-body matrix route to a net wrench), so agreement between the two is the
 test.  The per-link forms at the end are the one-link-at-a-time sweeps,
-regressor and natural-law step that the library's stacked versions replaced.
+regressor and natural-law step that the library's stacked versions replaced,
+and the projection law's step one channel at a time.
 """
 from dataclasses import dataclass
 
@@ -234,6 +235,17 @@ def nal_step_per_link(L, s, gamma: float, dt: float, method: str = "geometric"):
     else:
         L_new = L + (dt / gamma) * (L @ S @ L)
     return 0.5 * (L_new + L_new.T)
+
+
+def projection_step_per_channel(theta, rho, lower, upper, s, dt: float) -> np.ndarray:
+    """One Euler step of the projection law, one channel at a time: a channel
+    at a bound whose update points outside stays put, any other moves by
+    dt rho s and is clipped into its box."""
+    out = []
+    for th, r, lo, hi, si in zip(*(np.ravel(a) for a in (theta, rho, lower, upper, s))):
+        frozen = (th <= lo and si <= 0.0) or (th >= hi and si >= 0.0)
+        out.append(min(max(th if frozen else th + dt * r * si, lo), hi))
+    return np.reshape(out, np.shape(theta))
 
 
 # --- the NumPy forms of the quaternion and Euler conversions -------------------

@@ -18,12 +18,7 @@ from oracles import (
     geodesic_distance,
     net_wrench,
 )
-from vdcnal.adaptation import (
-    NalState,
-    initial_link_estimate,
-    nal_step,
-    solve_dual,
-)
+from vdcnal.adaptation import NalLinkAdapter, initial_link_estimate, solve_dual
 from vdcnal.config import builtin_config_path, load_sim
 from vdcnal.controller import (
     VdcController,
@@ -163,15 +158,15 @@ def test_criterion_06_adversarial_signal_keeps_estimates_positive(arm7):
     dt, gamma, duration = 1e-3, 10.0, 60.0
     steps = int(round(duration / dt))
     phi0 = np.array([initial_link_estimate(joint.link).as_vector() for joint in arm7.joints])
-    state = NalState.from_pseudo(params_to_pseudo(phi0), gamma)
+    adapter = NalLinkAdapter(phi0, gamma)
     # each link keeps its own signal stream, drawn 10 at a time as before
     rngs = [np.random.default_rng(600 + j) for j in range(arm7.n)]
     u = np.stack([rng.standard_normal((steps, 10)) for rng in rngs], axis=1)
     u /= np.linalg.norm(u, axis=2, keepdims=True)
     worst = np.inf
     for k in range(steps):
-        state = nal_step(state, (10.0 if k % 2 == 0 else -10.0) * u[k], dt)
-        min_eig = np.min(np.linalg.eigvalsh(state.L)[:, 0])
+        adapter.update((10.0 if k % 2 == 0 else -10.0) * u[k], dt)
+        min_eig = np.min(np.linalg.eigvalsh(adapter.L)[:, 0])
         worst = min(worst, min_eig)
         assert min_eig > 0.0
     print(f"criterion 6: smallest eigenvalue over 7 links x {steps} steps "

@@ -192,6 +192,26 @@ def test_report_missing_summary(pose_run, tmp_path, capsys):
     assert "no summary.yaml" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["adapter", "repetition", "transient_cutoff_s", "mode"])
+def test_report_names_a_missing_meta_key(pose_run, tmp_path, capsys, key):
+    lines = (pose_run / "exo_pose_nal_rep0.csv").read_text().splitlines()
+    path = tmp_path / "exo_pose_nal_rep0.csv"
+    path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"# {key}:")) + "\n")
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: FAIL {path}: meta block lacks key {key!r}" in err
+    assert "Traceback" not in err
+
+
+def test_run_names_a_config_that_cannot_be_read(tmp_path, capsys):
+    (tmp_path / "simdir").mkdir()
+    man = _manifest(tmp_path, "exo-pose", "arm7.yaml", tmp_path / "simdir", reps=1, seed=0)
+    assert main(["run", str(man)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path}/simdir: cannot be read" in err
+    assert "Traceback" not in err
+
+
 def test_rrr_compare_runs_both_adapters(tmp_path, capsys):
     sim = _short_sim(tmp_path, "rrr_compare", 0.2)
     man = _manifest(tmp_path, "rrr-compare", "rrr3.yaml", sim, reps=1, seed=7)

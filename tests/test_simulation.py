@@ -486,7 +486,7 @@ def test_adapter_factories(arm7):
     links, joints = make_adapters(arm7, "projection", gains, spec)
     assert isinstance(links, ProjectionAdapter) and isinstance(joints, ProjectionAdapter)
     for adapter, truth in ((links, arm7.link_phi), (joints, arm7.drive_phi)):
-        assert np.all(adapter.state.lower <= truth) and np.all(truth <= adapter.state.upper)
+        assert np.all(adapter.lower <= truth) and np.all(truth <= adapter.upper)
     links, joints = make_adapters(arm7, "none", gains, spec)
     assert isinstance(links, FrozenAdapter) and isinstance(joints, FrozenAdapter)
     assert list(joints.phi_hat()[:, 0]) == [j.motor_inertia for j in arm7.joints]
