@@ -83,6 +83,8 @@ def read_run_csv(path) -> RunLog:
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise ConfigError(f"{path}: meta block lacks key {missing[0]!r}")
+    if not isinstance(meta["initial_q_rad"], list):
+        raise ConfigError(f"{path}: meta initial_q_rad must be a list of joint angles")
     return RunLog(columns, data, meta, {})
 
 
@@ -229,7 +231,7 @@ def cmd_report(log_paths) -> int:
         try:
             log = read_run_csv(path)
             recomputed = summarize(log)
-        except (ConfigError, OSError) as exc:
+        except (OSError, ValueError) as exc:        # a ConfigError is a ValueError
             print(f"{name}: FAIL {exc}", file=sys.stderr)
             failures += 1
             continue

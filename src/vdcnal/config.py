@@ -290,6 +290,9 @@ def load_manifest(path, output_override=None) -> ExperimentManifest:
             raise ConfigError(f"{path}: output_dir must be a string, got {output_dir!r}")
         if not output_dir:
             raise ConfigError(f"{path}: output_dir must not be empty")
+    elif not output_dir:
+        # an empty path is the working directory, which a run would litter
+        raise ConfigError("--output-dir must not be empty")
     output_dir = pathlib.Path(output_dir)
     cfg = load_sim(sim_path)
     cfg.scenario = doc.get("scenario", cfg.scenario)

@@ -1,23 +1,31 @@
 """Decentralized chain controller.
 
-One control tick works on (n, ...) stacks along the chain and does, in order:
+One control tick computes only what depends on the measured state.  The
+reference depends on time alone, so the controller tabulates it on the run's
+whole tick grid when it is built (one vectorized call, one row of floats per
+tick; see the references in :mod:`vdcnal.kinematics`), and each tick reads
+its row.  Then the tick works on (n, ...) stacks along the chain and does,
+in order:
 
 1. the chain poses: the joint rotations, gathered in one batch from a cos/sin
-   table, the frame poses, and the chain operator X, the 6n x 6n block
-   lower-triangular matrix whose block (i, k) is the velocity transform
-   X_{B_i <- B_k} (identity on the diagonal);
+   table, the frame rotations by a log-depth scan, the frame positions, and
+   the chain operator X, the 6n x 6n block lower-triangular matrix whose
+   block (i, k) is the velocity transform X_{B_i <- B_k} (identity on the
+   diagonal);
 2. required joint velocities, either from closed-loop inverse kinematics on
    the pose error (task mode: the measured tip quaternion comes from the last
-   frame rotation, the desired one from the reference's rotation) or from a
-   joint-space reference (joint mode, which builds no quaternion); required
-   joint accelerations by backward differencing at the control period (first
-   tick zero);
+   frame rotation, the desired one from the reference row, and the Jacobian
+   is read off the last block row of X) or from a joint-space reference
+   (joint mode, which builds no quaternion); required joint accelerations by
+   backward differencing at the control period (first tick zero);
 3. the base-to-tip sweep of the actual and required velocities together, one
    product of X with the joint rates, and the acceleration sweep, one product
    of X with the per-link drive terms (the transform rates use the measured
    joint rates); T-frame velocities follow from one batched tip-map product;
-4. the (n, 6, 10) regressor in one build, and the required net wrenches
-   W phi_hat + K_B (V_r - V) in one product;
+4. the (n, 6, 10) regressor as one product [a + (R g, 0) | vec(V V')] @ M with
+   a constant 42 x 60 map M, and the required net wrenches
+   W phi_hat + K_B (V_r - V), phi_hat one product of vec(L) with a constant
+   16 x 10 map;
 5. the tip-to-base force sweep, one product of X' with the required net
    wrenches (zero required wrench at the tip);
 6. tau = I_hat qddot_r + k_a (qdot_r - qdot) + kappa' F_r for every joint;
@@ -25,8 +33,8 @@ One control tick works on (n, ...) stacks along the chain and does, in order:
    the drive adapter with its (n, 1) scalar analog.
 
 No step loops over the links: the only product that runs along the chain is
-the frame rotations' in ``chain_poses``, and every per-model constant (axis
-slots, tip maps, rotation patterns) is built once with the model.
+the frame rotations' scan in ``chain_poses``, and every per-model constant
+(axis slots, tip maps, rotation patterns) is built once with the model.
 Every quantity a stability monitor needs (velocity/force pairs at both frames
 of every link) is kept in the returned snapshot; the simulation harness adds
 the measured-side acceleration and force sweeps with the same operator, which
@@ -103,7 +111,7 @@ def link_control_wrench(W, phi_hat, k_b, v_r, v) -> np.ndarray:
     """Required net wrenches W phi_hat + K_B (V_r - V), one row per link."""
     dv = v_r - v
     fb = dv @ np.transpose(k_b) if np.ndim(k_b) == 2 else k_b * dv
-    return np.einsum("...ij,...j->...i", W, phi_hat) + fb
+    return (W @ phi_hat[..., None])[..., 0] + fb
 
 
 def propagate_forces(model: RobotModel, poses: ChainPoses, net_b, tip):
@@ -161,12 +169,14 @@ class VdcController:
     """Ties the sweeps together and owns the adapters and the differencing state.
 
     ``link_adapters`` and ``joint_adapters`` are one adapter each, for the
-    whole chain (see :mod:`vdcnal.adaptation`).
+    whole chain (see :mod:`vdcnal.adaptation`).  ``ticks`` is the number of
+    ticks t_k = k dt of the run, on which the reference is tabulated once; a
+    step at any other time tabulates that time alone.
     """
 
     def __init__(self, model: RobotModel, gains: ControllerGains, reference,
                  link_adapters, joint_adapters, mode: str = "task",
-                 dt: float = 1e-3, joint_gain: float | None = None):
+                 dt: float = 1e-3, joint_gain: float | None = None, ticks: int = 0):
         if mode not in ("task", "joint"):
             raise ValueError("mode must be 'task' or 'joint'")
         if (link_adapters.phi_hat().shape, joint_adapters.phi_hat().shape) != \
@@ -181,6 +191,16 @@ class VdcController:
         self.dt = float(dt)
         self.joint_gain = gains.xi if joint_gain is None else float(joint_gain)
         self._prev_qdot_r = None
+        self._table = reference.tabulate(np.arange(ticks) * self.dt)
+        self._table.setflags(write=False)     # steps hand out views of its rows
+
+    def _reference_row(self, t: float) -> np.ndarray:
+        """The reference at ``t``: its row of the table on the tick grid, else
+        the reference tabulated at ``t`` alone."""
+        k = round(t / self.dt)
+        if 0 <= k < len(self._table) and k * self.dt == t:
+            return self._table[k]
+        return self.reference.tabulate([t])[0]
 
     def step(self, t: float, q, qdot) -> tuple[np.ndarray, StepSnapshot]:
         model, g = self.model, self.gains
@@ -190,13 +210,12 @@ class VdcController:
         chi = np.concatenate((poses.pt[-1], rotation_to_euler_xyz(poses.Rt[-1])))
 
         if self.mode == "task":
-            pose_d, vel_d = self.reference.desired(t)
+            pose_d, vel_d, chi_d = self.reference.unpack(self._reference_row(t))
             err = pose_error(Pose.from_rotation(poses.pt[-1], poses.Rt[-1]), pose_d)
             qdot_r = clik_required_velocity(jacobian(model, poses), err, vel_d, g.xi,
                                             g.clik_damping)
-            chi_d = pose_d.as_vector()
         else:
-            q_d, qd_d = self.reference.desired(t)
+            q_d, qd_d = self.reference.unpack(self._reference_row(t))
             err = q_d - q
             qdot_r = qd_d + self.joint_gain * err
             chi_d = chi
@@ -215,7 +234,7 @@ class VdcController:
         tau, tau_star = joint_torques(model, self.joint_adapters.phi_hat()[:, 0], g.k_a,
                                       qddot_r, qdot_r, qdot, fr_b)
 
-        self.link_adapters.update(np.einsum("nij,ni->nj", W, vrb - vb), self.dt)
+        self.link_adapters.update(((vrb - vb)[:, None] @ W)[:, 0], self.dt)
         self.joint_adapters.update((qddot_r * (qdot_r - qdot))[:, None], self.dt)
         min_eigs = self.link_adapters.min_eig()
 

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
 from .rigid_body import InertialParams
 from .spatial import (AXIS_ROTATION_PATTERN, FrameTransform, UnitQuaternion, axis_vector,
-                      cross3, euler_xyz_rate_matrix, euler_xyz_to_rotation, quat_from_rotation,
-                      rotation_to_euler_xyz, skew, transform_velocity_raw, transform_wrench_raw)
+                      euler_xyz_rate_matrix, euler_xyz_to_quaternion, euler_xyz_to_rotation,
+                      prefix_products, quat_from_rotation, rotation_to_euler_xyz,
+                      rotations_to_euler_xyz, skew, transform_velocity_raw,
+                      transform_wrench_raw)
 
 # selector slots: linear part first, angular part last
 _AXIS_SLOT = {"x": 3, "y": 4, "z": 5}
@@ -106,10 +107,10 @@ class RobotModel:
     # true parameters are shaped as the link and drive adapters' estimates
     slots: np.ndarray = field(init=False, repr=False, compare=False)
     columns: np.ndarray = field(init=False, repr=False, compare=False)
-    axes: np.ndarray = field(init=False, repr=False, compare=False)
     axis_cross: np.ndarray = field(init=False, repr=False, compare=False)
     rotation_index: np.ndarray = field(init=False, repr=False, compare=False)
     tip_R: np.ndarray = field(init=False, repr=False, compare=False)
+    mount_R: np.ndarray = field(init=False, repr=False, compare=False)
     tip_r: np.ndarray = field(init=False, repr=False, compare=False)
     chain_lower: np.ndarray = field(init=False, repr=False, compare=False)
     chain_eye: np.ndarray = field(init=False, repr=False, compare=False)
@@ -134,10 +135,12 @@ class RobotModel:
             "gravity": g,
             "slots": slots,
             "columns": 6 * blocks + slots,
-            "axes": axes,
             "axis_cross": np.swapaxes(skew(axes), 1, 2),
             "rotation_index": pattern.reshape(n, 3, 3) * n + blocks[:, None, None],
             "tip_R": np.array([j.tip.R for j in joints]).reshape(n, 3, 3),
+            # the rotation of T_{i-1}, where joint i is mounted, in B_{i-1}: the
+            # base rotation (in the world) for the first joint
+            "mount_R": np.array([self.base.R] + [j.tip.R for j in joints])[:n],
             "tip_r": np.array([j.tip.r for j in joints]).reshape(n, 3),
             "chain_lower": np.kron(blocks[:, None] > blocks[None, :], np.ones((6, 6))) > 0,
             "chain_eye": np.eye(6 * n),
@@ -209,9 +212,9 @@ class ChainPoses:
 def chain_poses(model: RobotModel, q) -> ChainPoses:
     n = model.n
     Rj = model.joint_rotations(np.asarray(q, dtype=float))
-    # Rt_i = Rt_{i-1} Rj_i R_tip,i, the only product that runs along the chain
-    Rt = np.array(list(accumulate(Rj @ model.tip_R, np.matmul, initial=model.base.R))[1:])
-    Rb = np.concatenate((model.base.R[None], Rt[:-1])) @ Rj
+    # Rb_i = Rb_{i-1} R_mount,i Rj_i, the only product that runs along the chain
+    Rb = prefix_products(model.mount_R @ Rj)
+    Rt = Rb @ model.tip_R
     p = np.cumsum(np.concatenate((model.base.r[None], (Rb @ model.tip_r[:, :, None])[:, :, 0])),
                   axis=0)
     pb, pt = p[:-1], p[1:]
@@ -237,9 +240,14 @@ def forward_kinematics(model: RobotModel, q) -> Pose:
 
 
 def jacobian(model: RobotModel, poses: ChainPoses) -> np.ndarray:
-    """Geometric Jacobian of the tip, world frame: [v, omega] = J @ qdot."""
-    axis_w = (poses.Rb @ model.axes[:, :, None])[:, :, 0]
-    return np.concatenate((cross3(axis_w, poses.pt[-1] - poses.pb), axis_w), axis=1).T
+    """Geometric Jacobian of the tip, world frame: [v, omega] = J @ qdot.
+
+    Read off the chain operator: its last block row at the joints' axis slots
+    is the B_n velocity per unit joint rate, which the last tip map carries to
+    T_n and the tip rotation turns into the world frame.
+    """
+    local = model.tip_velocity[-1] @ poses.X[-6:, model.columns]
+    return (poses.Rt[-1] @ local.reshape(2, 3, model.n)).reshape(6, model.n)
 
 
 def orientation_error(q_cur: UnitQuaternion, q_des: UnitQuaternion) -> np.ndarray:
@@ -282,30 +290,39 @@ def clik_required_velocity(J, e, vel_d, xi, damping: float = 1e-3) -> np.ndarray
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    t: float
+    t: float | np.ndarray
     chi: np.ndarray
     chi_dot: np.ndarray
     chi_ddot: np.ndarray
 
 
-def quintic_trajectory(chi0, chif, duration: float, t: float) -> TrajectorySample:
+def quintic_trajectory(chi0, chif, duration: float, t) -> TrajectorySample:
     """Minimum-jerk point-to-point profile with zero endpoint velocity/acceleration.
 
     chi(t) = chi0 + (chif - chi0) (10 tau^3 - 15 tau^4 + 6 tau^5), tau = t/T.
-    Raises for t outside [0, T]; callers that hold the final pose clamp first.
+    A time array of shape (m,) gives (m, k) samples.  Raises for t outside
+    [0, T]; callers that hold the final pose clamp first.
     """
     chi0 = np.asarray(chi0, dtype=float)
     chif = np.asarray(chif, dtype=float)
     if duration <= 0.0:
         raise ValueError("duration must be positive")
-    if t < 0.0 or t > duration:
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0.0) or np.any(times > duration):
         raise ValueError(f"t = {t} outside [0, {duration}]")
-    tau = t / duration
+    tau = times[..., None] / duration
     d = chif - chi0
     s = 10.0 * tau ** 3 - 15.0 * tau ** 4 + 6.0 * tau ** 5
     sd = (30.0 * tau ** 2 - 60.0 * tau ** 3 + 30.0 * tau ** 4) / duration
     sdd = (60.0 * tau - 180.0 * tau ** 2 + 120.0 * tau ** 3) / duration ** 2
     return TrajectorySample(t, chi0 + d * s, d * sd, d * sdd)
+
+
+# A reference is sampled as a table: ``tabulate(t)`` gives one row of floats
+# per time of ``t``, in one vectorized call, and ``unpack(row)`` reads the
+# desired values off a row.  A run tabulates its whole tick grid once, before
+# the first tick (see VdcController); ``desired(t)`` is the same code on one
+# time.
 
 
 class CartesianQuinticReference:
@@ -318,18 +335,34 @@ class CartesianQuinticReference:
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
 
-    def sample(self, t: float) -> TrajectorySample:
-        if t >= self.duration:
-            return TrajectorySample(t, self.chif.copy(), np.zeros(6), np.zeros(6))
-        return quintic_trajectory(self.chi0, self.chif, self.duration, max(t, 0.0))
+    def tabulate(self, t) -> np.ndarray:
+        """(m, 16) rows [chi_d, quaternion (w, x, y, z), v_d, omega_d] at the (m,)
+        times ``t``: chi_d is [p_d, euler_xyz(R_d)] (angles folded as
+        :func:`rotation_to_euler_xyz` folds them), the task velocity uses the
+        true angular velocity, and from the duration on the target is held."""
+        t = np.asarray(t, dtype=float)
+        hold = (t >= self.duration)[:, None]
+        s = quintic_trajectory(self.chi0, self.chif, self.duration,
+                               np.clip(t, 0.0, self.duration))
+        chi = np.where(hold, self.chif, s.chi)
+        rate = np.where(hold, 0.0, s.chi_dot)
+        alpha, beta, delta = chi[:, 3:].T
+        rows = np.empty((len(t), 16))
+        rows[:, :3] = chi[:, :3]
+        rows[:, 3:6] = rotations_to_euler_xyz(euler_xyz_to_rotation(alpha, beta, delta))
+        rows[:, 6:10] = euler_xyz_to_quaternion(alpha, beta, delta)
+        rows[:, 10:13] = rate[:, :3]
+        rows[:, 13:] = (euler_xyz_rate_matrix(alpha, beta) @ rate[:, 3:, None])[:, :, 0]
+        return rows
+
+    @staticmethod
+    def unpack(row) -> tuple[Pose, np.ndarray, np.ndarray]:
+        """(desired pose, task velocity [v_d, omega_d], chi_d) of one table row."""
+        return Pose(row[:3], UnitQuaternion(row[6], row[7:10])), row[10:], row[:6]
 
     def desired(self, t: float) -> tuple[Pose, np.ndarray]:
         """Desired pose and task velocity [v_d, omega_d] at time t."""
-        s = self.sample(t)
-        ang = s.chi[3:]
-        pose = Pose.from_rotation(s.chi[:3], euler_xyz_to_rotation(*ang))
-        omega = euler_xyz_rate_matrix(ang[0], ang[1]) @ s.chi_dot[3:]
-        return pose, np.concatenate((s.chi_dot[:3], omega))
+        return self.unpack(self.tabulate([t])[0])[:2]
 
 
 class JointSineReference:
@@ -340,7 +373,17 @@ class JointSineReference:
         self.amplitude = float(amplitude)
         self.omega = float(omega)
 
+    def tabulate(self, t) -> np.ndarray:
+        """(m, 2n) rows [q_d, qdot_d] at the (m,) times ``t``."""
+        wt = self.omega * np.asarray(t, dtype=float)[:, None]
+        rows = np.empty((len(wt), 2 * self.n))
+        rows[:, :self.n] = self.amplitude * np.sin(wt)
+        rows[:, self.n:] = self.amplitude * self.omega * np.cos(wt)
+        return rows
+
+    def unpack(self, row) -> tuple[np.ndarray, np.ndarray]:
+        """(q_d, qdot_d) of one table row."""
+        return row[:self.n], row[self.n:]
+
     def desired(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        q = np.full(self.n, self.amplitude * np.sin(self.omega * t))
-        qd = np.full(self.n, self.amplitude * self.omega * np.cos(self.omega * t))
-        return q, qd
+        return self.unpack(self.tabulate([t])[0])

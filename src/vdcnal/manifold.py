@@ -34,17 +34,20 @@ def params_to_pseudo(phi) -> np.ndarray:
                      np.stack((hx, hy, hz, m), axis=-1)), axis=-2)
 
 
-# flat indices of m, h, then the diagonal and the (01, 12, 02) entries of a 4x4
-_UNPACK = [15, 3, 7, 11, 0, 5, 10, 1, 6, 2]
+# vec(L) @ _VECTOR_MAP inverts params_to_pseudo on symmetric L: m and h are read
+# off the last column, each diagonal inertia entry is the sum of the other two
+# second moments (I_xx = L_11 + L_22), the products of inertia are the negated
+# off-diagonal moments
+_VECTOR_MAP = np.zeros((16, 10))
+_VECTOR_MAP[[15, 3, 7, 11, 5, 10, 0, 10, 0, 5], [0, 1, 2, 3, 4, 4, 5, 5, 6, 6]] = 1.0
+_VECTOR_MAP[[1, 6, 2], [7, 8, 9]] = -1.0
 
 
 def pseudo_to_vectors(L) -> np.ndarray:
     """Inverse of :func:`params_to_pseudo` over a stack of symmetric 4x4s,
-    (..., 4, 4) -> (..., 10): a direct unpack, exact and unchecked."""
-    v = L.reshape(L.shape[:-2] + (16,))[..., _UNPACK]
-    v[..., 4:7] = (v[..., 4] + v[..., 5] + v[..., 6])[..., None] - v[..., 4:7]
-    v[..., 7:] = -v[..., 7:]
-    return v
+    (..., 4, 4) -> (..., 10): one product with a constant map, unchecked."""
+    L = np.asarray(L, dtype=float)
+    return L.reshape(L.shape[:-2] + (16,)) @ _VECTOR_MAP
 
 
 def pseudo_to_params(L) -> InertialParams:

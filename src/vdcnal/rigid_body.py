@@ -110,23 +110,52 @@ def omega_dot_operator(w) -> np.ndarray:
     return (w @ _OMEGA_BASIS).reshape(w.shape[:-1] + (3, 6))
 
 
+def _regressor_map() -> np.ndarray:
+    """The constant 42 x 60 map of :func:`regressor`.
+
+    With a' = [u, alpha] = a + [R_AI g, 0] and V = [v, w], W is linear in a'
+    and quadratic in V:
+
+        W[:3, 0]    = u + w x v
+        W[:3, 1:4]  = skew(alpha) + skew(w) skew(w)
+        W[3:, 1:4]  = -skew(u + w x v)
+        W[3:, 4:]   = Omega(alpha) + skew(w) Omega(w)
+
+    with Omega = omega_dot_operator.  Row k of the map is vec(W) for the k-th
+    entry of [a' | vec(V V')]; the products w_j v_k and w_j w_m are read from
+    the outer product's (3 + j, k) and (3 + j, 3 + m) entries.
+    """
+    S, O = skew(np.eye(3)), omega_dot_operator(np.eye(3))    # skew(e_j), Omega(e_j)
+    cross = S.transpose(0, 2, 1)                             # [j, k, i]: w_j v_k -> (w x v)_i
+    lin = np.zeros((6, 6, 10))
+    lin[:3, :3, 0] = np.eye(3)
+    lin[3:, :3, 1:4] = S
+    lin[:3, 3:, 1:4] = -S
+    lin[3:, 3:, 4:] = O
+    quad = np.zeros((6, 6, 6, 10))
+    quad[3:, :3, :3, 0] = cross
+    quad[3:, :3, 3:, 1:4] = -np.einsum("jki,iab->jkab", cross, S)
+    quad[3:, 3:, :3, 1:4] = np.einsum("jik,mkl->jmil", S, S)
+    quad[3:, 3:, 3:, 4:] = np.einsum("jik,mkl->jmil", S, O)
+    return np.concatenate((lin.reshape(6, 60), quad.reshape(36, 60)))
+
+
+_REGRESSOR_MAP = _regressor_map()
+
+
 def regressor(accel, vel, R_AI, g=GRAVITY) -> np.ndarray:
     """Regressor W with W @ phi == M a + C(omega) V + G, for one body or a stack.
 
     ``accel`` and ``vel`` are (..., 6): the required or actual spatial
     acceleration and velocity of each frame; ``R_AI`` is (..., 3, 3).  W is
-    (..., 6, 10), its columns in the phi layout [m | h | vecI].
+    (..., 6, 10), its columns in the phi layout [m | h | vecI], and it is one
+    product [a + (R_AI g, 0) | vec(V V')] @ M with the constant map above.
     """
     a = np.asarray(accel, dtype=float)
     V = np.asarray(vel, dtype=float)
-    vd, wd = a[..., :3], a[..., 3:]
-    v, w = V[..., :3], V[..., 3:]
-    wx = skew(w)
-    ga = np.asarray(R_AI, dtype=float) @ np.asarray(g, dtype=float)
-    f = vd + (wx @ v[..., None])[..., 0] + ga
-    W = np.zeros(a.shape[:-1] + (6, 10))
-    W[..., :3, 0] = f
-    W[..., :3, 1:4] = skew(wd) + wx @ wx
-    W[..., 3:, 1:4] = -skew(f)
-    W[..., 3:, 4:] = omega_dot_operator(wd) + wx @ omega_dot_operator(w)
-    return W
+    lead = a.shape[:-1]
+    x = np.empty(lead + (7, 6))
+    x[..., 0, :] = a
+    x[..., 0, :3] += np.asarray(R_AI, dtype=float) @ np.asarray(g, dtype=float)
+    np.multiply(V[..., :, None], V[..., None, :], out=x[..., 1:, :])
+    return (x.reshape(lead + (42,)) @ _REGRESSOR_MAP).reshape(lead + (6, 10))

@@ -43,7 +43,7 @@ from .controller import (ControllerGains, StabilityDiagnostics, VdcController,
 from .kinematics import (CartesianQuinticReference, JointSineReference, RobotModel,
                          forward_kinematics)
 from .rigid_body import mass_matrix
-from .spatial import motion_cross, skew
+from .spatial import motion_cross, prefix_products, skew
 
 
 def _as_world_wrench(f_ext) -> np.ndarray | None:
@@ -101,11 +101,7 @@ def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=No
     qdot = np.asarray(qdot, dtype=float)
 
     # B_i rotations in the base, Rb_i = Rb_{i-1} Rtip_{i-1} Rj_i, by a log-depth scan
-    Rb = k.mount @ model.joint_rotations(np.asarray(q, dtype=float))
-    step = 1
-    while step < n:
-        Rb[step:] = Rb[:-step] @ Rb[step:]
-        step *= 2
+    Rb = prefix_products(k.mount @ model.joint_rotations(np.asarray(q, dtype=float)))
     # skew of each joint origin p_i, and last that of the tip-frame origin
     px = skew(np.concatenate((np.zeros((1, 3)),
                               np.add.accumulate((Rb @ k.tip_r[:, :, None])[:, :, 0]))))
@@ -299,6 +295,8 @@ class RunLog:
     summary: dict
 
     def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise ValueError(f"log has no column {name!r}")
         return self.data[:, self.columns.index(name)]
 
 
@@ -399,7 +397,7 @@ def run_scenario(model: RobotModel, cfg: SimConfig, repetition: int = 0,
     link_adapters, joint_adapters = make_adapters(model, adapter, cfg.gains, cfg.adaptation)
     controller = VdcController(model, cfg.gains, reference, link_adapters,
                                joint_adapters, mode=mode, dt=dt,
-                               joint_gain=cfg.joint_tracking_gain)
+                               joint_gain=cfg.joint_tracking_gain, ticks=n_ticks)
 
     columns = log_columns(model, mode)
     rows = np.empty((n_ticks, len(columns)))
@@ -463,6 +461,7 @@ def summarize(log: RunLog) -> dict:
     if log.data.shape[0] == 0:
         out["samples"] = 0
         return out
+    n = len(log.meta["initial_q_rad"])          # the chain's joints
     t = log.column("t_s")
     cutoff = log.meta["transient_cutoff_s"]
     if not np.any(t >= cutoff):
@@ -475,12 +474,11 @@ def summarize(log: RunLog) -> dict:
         keep = t >= cutoff
         out["max_position_error_mm"] = float(1e3 * np.max(np.linalg.norm(ep[keep], axis=1)))
     else:
-        n = sum(1 for c in log.columns if c.startswith("eq_"))
         for i in range(1, n + 1):
             e = log.column(f"eq_{i}_rad")
             out[f"rmse_joint_{i}_rad"] = rmse(e, t, cutoff)
             out[f"max_error_joint_{i}_rad"] = float(np.max(np.abs(e[t >= cutoff])))
-    mineig = np.column_stack([log.column(c) for c in log.columns if c.startswith("mineig_")])
+    mineig = np.column_stack([log.column(f"mineig_{i}") for i in range(1, n + 1)])
     out["min_pseudo_inertia_eig"] = float(np.min(mineig))
     # ticks on which some link estimate is outside the consistent set
     out["ticks_mineig_nonpositive"] = int(np.sum(np.any(mineig <= 0.0, axis=1)))

@@ -105,33 +105,70 @@ def axis_vector(axis: str) -> np.ndarray:
     return _AXIS_VEC[axis]
 
 
-def euler_xyz_to_rotation(alpha: float, beta: float, delta: float) -> np.ndarray:
-    """R = Rx(alpha) @ Ry(beta) @ Rz(delta) (intrinsic XYZ angles), on Python floats."""
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cd, sd = math.cos(delta), math.sin(delta)
-    return np.array([[cb * cd, -cb * sd, sb],
-                     [ca * sd + sa * sb * cd, ca * cd - sa * sb * sd, -sa * cb],
-                     [sa * sd - ca * sb * cd, sa * cd + ca * sb * sd, ca * cb]])
+def euler_xyz_to_rotation(alpha, beta, delta) -> np.ndarray:
+    """R = Rx(alpha) @ Ry(beta) @ Rz(delta) (intrinsic XYZ angles); angle arrays
+    of one shape give a stack of that shape + (3, 3)."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    cd, sd = np.cos(delta), np.sin(delta)
+    R = np.array([[cb * cd, -cb * sd, sb],
+                  [ca * sd + sa * sb * cd, ca * cd - sa * sb * sd, -sa * cb],
+                  [sa * sd - ca * sb * cd, sa * cd + ca * sb * sd, ca * cb]])
+    return np.moveaxis(R, (0, 1), (-2, -1))
+
+
+def euler_xyz_to_quaternion(alpha, beta, delta) -> np.ndarray:
+    """[w, x, y, z] of :func:`euler_xyz_to_rotation`, (..., 4) for angle arrays:
+    the product of the three half-angle quaternions, with w >= 0 (a zero w is
+    left to :meth:`UnitQuaternion.sign_normalized`)."""
+    ca, sa = np.cos(0.5 * alpha), np.sin(0.5 * alpha)
+    cb, sb = np.cos(0.5 * beta), np.sin(0.5 * beta)
+    cd, sd = np.cos(0.5 * delta), np.sin(0.5 * delta)
+    q = np.stack((ca * cb * cd - sa * sb * sd, sa * cb * cd + ca * sb * sd,
+                  ca * sb * cd - sa * cb * sd, ca * cb * sd + sa * sb * cd), axis=-1)
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def rotation_to_euler_xyz(R) -> np.ndarray:
-    """Inverse of :func:`euler_xyz_to_rotation`; beta folded into [-pi/2, pi/2]."""
+    """Inverse of :func:`euler_xyz_to_rotation`; beta folded into [-pi/2, pi/2].
+    One matrix, on Python floats; see :func:`rotations_to_euler_xyz` for stacks."""
     (r00, r01, r02), (r10, r11, r12), (_, _, r22) = np.asarray(R, dtype=float).tolist()
     return np.array([math.atan2(-r12, r22), math.asin(min(max(r02, -1.0), 1.0)),
                      math.atan2(-r01, r00)])
 
 
-def euler_xyz_rate_matrix(alpha: float, beta: float) -> np.ndarray:
+def rotations_to_euler_xyz(R) -> np.ndarray:
+    """:func:`rotation_to_euler_xyz` of each matrix of a (..., 3, 3) stack, on
+    NumPy arrays, which costs a few times more for one matrix."""
+    R = np.asarray(R, dtype=float)
+    return np.stack((np.arctan2(-R[..., 1, 2], R[..., 2, 2]),
+                     np.arcsin(np.clip(R[..., 0, 2], -1.0, 1.0)),
+                     np.arctan2(-R[..., 0, 1], R[..., 0, 0])), axis=-1)
+
+
+def euler_xyz_rate_matrix(alpha, beta) -> np.ndarray:
     """Map XYZ Euler-angle rates to the angular velocity in the reference frame.
 
     omega = E(alpha, beta) @ [alpha_dot, beta_dot, delta_dot].  Columns are the
     instantaneous axes of the three elementary rotations: x, Rx(alpha) y and
-    Rx(alpha) Ry(beta) z.
+    Rx(alpha) Ry(beta) z.  Angle arrays of one shape give a stack of E.
     """
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    return np.array([[1.0, 0.0, sb], [0.0, ca, -sa * cb], [0.0, sa, ca * cb]])
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    one, zero = np.ones_like(ca), np.zeros_like(ca)
+    E = np.array([[one, zero, sb], [zero, ca, -sa * cb], [zero, sa, ca * cb]])
+    return np.moveaxis(E, (0, 1), (-2, -1))
+
+
+def prefix_products(A) -> np.ndarray:
+    """Running products A_0, A_0 A_1, ..., A_0 A_1 ... A_{n-1} of an (n, k, k)
+    stack, written over ``A``: a log-depth scan, ceil(log2 n) batched products
+    in place of n - 1 single ones."""
+    step = 1
+    while step < len(A):
+        A[step:] = A[:-step] @ A[step:]
+        step *= 2
+    return A
 
 
 def _check_rotation(R) -> list:

@@ -3,16 +3,22 @@
 None of these runs in a simulation: each restates a quantity the library
 computes another way (an SPD distance, the center-of-mass Coriolis form, the
 per-body matrix route to a net wrench), so agreement between the two is the
-test.  The per-link forms at the end are the one-link-at-a-time sweeps,
-regressor and natural-law step that the library's stacked versions replaced,
-and the projection law's step one channel at a time.
+test.  The per-link forms are the one-link-at-a-time sweeps, regressor and
+natural-law step that the library's stacked versions replaced, and the
+projection law's step one channel at a time.  The forms at the end are the
+ones the library's constant maps and tables replaced: the Jacobian by cross
+products, the frame rotations by a sequential product, the pseudo-inertia
+unpacked entry by entry, and the Cartesian reference evaluated at one time on
+Python floats.
 """
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from vdcnal.rigid_body import InertialParams, mass_matrix
-from vdcnal.spatial import skew
+from vdcnal.spatial import (euler_xyz_rate_matrix, euler_xyz_to_rotation, quat_from_rotation,
+                            rotation_to_euler_xyz, skew)
 
 
 def _spd(L, name: str) -> np.ndarray:
@@ -281,3 +287,51 @@ def rotation_to_euler_xyz_numpy(R) -> np.ndarray:
     return np.array([np.arctan2(-R[1, 2], R[2, 2]),
                      np.arcsin(np.clip(R[0, 2], -1.0, 1.0)),
                      np.arctan2(-R[0, 1], R[0, 0])])
+
+
+# --- the forms the constant maps and the reference table replaced --------------
+
+def jacobian_cross_product(model, poses) -> np.ndarray:
+    """Geometric tip Jacobian, world frame, column by column: [u_i x (p_tip - p_i), u_i]."""
+    tip = poses.pt[-1]
+    columns = []
+    for i, joint in enumerate(model.joints):
+        u = poses.Rb[i] @ joint.axis_unit
+        columns.append(np.concatenate((_cross(u, tip - poses.pb[i]), u)))
+    return np.array(columns).T
+
+
+def tip_rotations_sequential(model, q) -> np.ndarray:
+    """(n, 3, 3) world rotations of the T frames, Rt_i = Rt_{i-1} Rj_i R_tip,i, one
+    product after another."""
+    factors = [_axis_rotation(j.axis, qi) @ j.tip.R for j, qi in zip(model.joints, q)]
+    return np.array(list(accumulate(factors, np.matmul, initial=model.base.R))[1:])
+
+
+def pseudo_to_vectors_unpack(L) -> np.ndarray:
+    """[m, h, vecI] of one symmetric 4x4 pseudo-inertia, entry by entry, with
+    I_xx = tr(Sigma) - Sigma_xx and so on."""
+    L = np.asarray(L, dtype=float)
+    trace = L[0, 0] + L[1, 1] + L[2, 2]
+    return np.array([L[3, 3], L[0, 3], L[1, 3], L[2, 3],
+                     trace - L[0, 0], trace - L[1, 1], trace - L[2, 2],
+                     -L[0, 1], -L[1, 2], -L[0, 2]])
+
+
+def cartesian_desired_scalar(chi0, chif, duration: float, t: float):
+    """(chi_d, quaternion [w, x, y, z], task velocity) of the quintic Cartesian
+    reference at one time: the profile on Python floats, then Euler angles ->
+    rotation -> checked quaternion, the Euler round trip for chi_d, and the
+    Euler-rate map for the angular velocity."""
+    if t >= duration:
+        chi, rate = np.array(chif, dtype=float), np.zeros(6)
+    else:
+        tau = max(t, 0.0) / duration
+        s = 10.0 * tau ** 3 - 15.0 * tau ** 4 + 6.0 * tau ** 5
+        sd = (30.0 * tau ** 2 - 60.0 * tau ** 3 + 30.0 * tau ** 4) / duration
+        d = np.asarray(chif, dtype=float) - chi0
+        chi, rate = chi0 + d * s, d * sd
+    R = euler_xyz_to_rotation(*chi[3:])
+    omega = euler_xyz_rate_matrix(chi[3], chi[4]) @ rate[3:]
+    return (np.concatenate((chi[:3], rotation_to_euler_xyz(R))),
+            quat_from_rotation(R).as_array(), np.concatenate((rate[:3], omega)))

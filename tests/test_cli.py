@@ -203,6 +203,45 @@ def test_report_names_a_missing_meta_key(pose_run, tmp_path, capsys, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("column", ["t_s", "ep_y_m", "mineig_3"])
+def test_report_names_a_missing_column_and_goes_on(pose_run, tmp_path, capsys, column):
+    good = pose_run / "exo_pose_nal_rep0.csv"
+    lines = good.read_text().splitlines()
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    lines[header] = ",".join("renamed" if c == column else c for c in lines[header].split(","))
+    bad = tmp_path / "exo_pose_nal_rep0.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["report", str(bad), str(good)]) == 1
+    captured = capsys.readouterr()
+    assert f"{bad}: FAIL log has no column {column!r}" in captured.err
+    assert f"{good}: " in captured.out and "rmse_position_mm" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_report_rejects_a_meta_joint_vector_that_is_not_a_list(pose_run, tmp_path, capsys):
+    text = (pose_run / "exo_pose_nal_rep0.csv").read_text()
+    path = tmp_path / "exo_pose_nal_rep0.csv"
+    start = text.index("# initial_q_rad:")
+    path.write_text(text[:start] + "# initial_q_rad: 7" + text[text.index("\n", start):])
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: FAIL {path}: meta initial_q_rad must be a list of joint angles" in err
+    assert "Traceback" not in err
+
+
+def test_run_rejects_an_empty_output_dir(tmp_path, capsys, monkeypatch):
+    sim = _short_sim(tmp_path, "rrr_compare", 0.01)
+    man = _manifest(tmp_path, "rrr-compare", "rrr3.yaml", sim, reps=1, seed=0)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", str(man), "--output-dir", ""]) == 1
+    err = capsys.readouterr().err
+    assert "error: --output-dir must not be empty" in err
+    assert "Traceback" not in err
+    assert list(cwd.iterdir()) == [] and not (tmp_path / "out").exists()
+
+
 def test_run_names_a_config_that_cannot_be_read(tmp_path, capsys):
     (tmp_path / "simdir").mkdir()
     man = _manifest(tmp_path, "exo-pose", "arm7.yaml", tmp_path / "simdir", reps=1, seed=0)

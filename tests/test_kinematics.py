@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from oracles import cartesian_desired_scalar
 from vdcnal.kinematics import (
     CartesianQuinticReference,
     Joint,
@@ -271,6 +272,47 @@ def test_joint_sine_reference():
     assert np.allclose(qd_d, 1.0 * np.cos(1.4) * np.ones(3), atol=1e-15)
     q_d, qd_d = ref.desired(0.0)
     assert np.allclose(q_d, 0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("chif", [
+    [0.25, 0.15, -0.15, 0.1, -0.2, 0.3],
+    # beta beyond pi/2 and delta beyond pi: chi_d folds as rotation_to_euler_xyz does
+    [0.25, 0.15, -0.15, -2.9, 2.0, 3.6],
+    # the half-angle product has w < 0 towards the target, so the table flips its sign
+    [0.25, 0.15, -0.15, 3.0, 0.5, 3.0],
+])
+def test_cartesian_table_matches_scalar_path(chif):
+    chi0 = np.array([0.1, 0.0, -0.3, 0.4, -0.1, -0.2])
+    T = 3.0
+    ref = CartesianQuinticReference(chi0, chif, T)
+    # t = 0, mid-sweep, the duration, the hold phase, and a tick grid across all
+    times = np.concatenate(([0.0, T / 2.0, T, T + 1.7], np.arange(4000) * 1e-3))
+    table = ref.tabulate(times)
+    assert table.shape == (len(times), 16)
+    for t, row in zip(times, table):
+        chi_d, quat, twist = cartesian_desired_scalar(chi0, np.array(chif), T, t)
+        for got, want in ((row[:6], chi_d), (row[6:10], quat), (row[10:], twist)):
+            assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+        pose, vel, chi = ref.unpack(row)
+        assert np.array_equal(pose.position, row[:3]) and np.array_equal(vel, row[10:])
+        assert np.array_equal(chi, row[:6])
+    # desired(t) is the table's code on one time
+    for t, row in zip(times[:4], table):
+        pose, vel = ref.desired(t)
+        assert np.allclose(pose.orientation.as_array(), row[6:10], atol=1e-15)
+        assert np.allclose(vel, row[10:], atol=1e-15)
+    assert np.array_equal(table[3, 10:], np.zeros(6))
+
+
+def test_joint_table_matches_closed_form():
+    ref = JointSineReference(3, amplitude=0.5, omega=2.0)
+    times = np.concatenate(([0.0, 0.7], np.arange(2000) * 1e-3))
+    table = ref.tabulate(times)
+    assert table.shape == (len(times), 6)
+    for t, row in zip(times, table):
+        q_d, qd_d = ref.unpack(row)
+        assert np.allclose(q_d, np.full(3, 0.5 * np.sin(2.0 * t)), rtol=0.0, atol=1e-15)
+        assert np.allclose(qd_d, np.full(3, 1.0 * np.cos(2.0 * t)), rtol=0.0, atol=1e-15)
 
 
 def test_model_validation_names_offending_link(rrr3):

@@ -10,7 +10,8 @@ import vdcnal.spatial as spatial
 from conftest import pendulum_accel, random_rotation, zero_gravity_clone
 from oracles import coriolis_matrix_original, gravity_wrench
 from vdcnal.config import builtin_config_path, load_robot, load_sim
-from vdcnal.kinematics import RobotModel, chain_poses, jacobian
+from vdcnal.kinematics import (CartesianQuinticReference, JointSineReference, RobotModel,
+                               chain_poses, jacobian)
 from vdcnal.rigid_body import mass_matrix
 from vdcnal.spatial import FrameTransform, axis_rotation, cross3, skew
 from vdcnal.simulation import (
@@ -230,10 +231,11 @@ def test_nal_tick_decomposes_twice(arm7, monkeypatch):
     assert per_tick["eigvalsh"] == 0 and per_tick["slogdet"] == 0
 
 
-def _per_tick_calls(monkeypatch, model, cfg, names):
-    """Calls of ``spatial.<name>`` per tick over ticks 11-20 of a run: the
-    difference of a 20-tick and a 10-tick ``run_scenario``, so set-up drops out.
-    The wrapper replaces the function in every vdcnal module that imported it."""
+def _run_calls(monkeypatch, model, cfg, names):
+    """Calls of ``spatial.<name>`` and of the references' ``tabulate`` (counted
+    as ``tabulate``) in a 10-tick and in a 20-tick ``run_scenario``, keyed by
+    the tick count.  The wrapper replaces the function in every vdcnal module
+    that imported it."""
     counts = collections.Counter()
     for name in names:
         original = getattr(spatial, name)
@@ -244,31 +246,58 @@ def _per_tick_calls(monkeypatch, model, cfg, names):
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "vdcnal" and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    for cls in (CartesianQuinticReference, JointSineReference):
+        def tabulate(self, t, _fn=cls.tabulate):
+            counts["tabulate"] += 1
+            return _fn(self, t)
+        monkeypatch.setattr(cls, "tabulate", tabulate)
     runs = {}
     for ticks in (10, 20):
         cfg.duration_s = ticks * cfg.dt_s
         counts.clear()
         assert run_scenario(model, cfg, repetition=0).data.shape[0] == ticks
         runs[ticks] = dict(counts)
+    return runs
+
+
+def _per_tick_calls(monkeypatch, model, cfg, names):
+    """Calls of ``spatial.<name>`` per tick over ticks 11-20 of a run: the
+    difference of a 20-tick and a 10-tick run, so set-up drops out."""
+    runs = _run_calls(monkeypatch, model, cfg, names)
     return {name: (runs[20].get(name, 0) - runs[10].get(name, 0)) / 10 for name in names}
 
 
 def test_tick_builds_no_axis_rotation_and_checks_at_most_two(arm7, rrr3, monkeypatch):
     # the joint rotations of chain_poses and of the plant come from one batched
-    # gather each; the only rotation checks of a tick are the two quaternions
-    # of the task-mode pose error (measured tip and reference), and joint mode
-    # builds no quaternion at all
+    # gather each; the only rotation check of a tick is the measured tip's
+    # quaternion in task mode (the reference's comes from the run's table, see
+    # the test below), and joint mode builds no quaternion at all
     names = ("axis_rotation", "_check_rotation")
     cfg = load_sim(builtin_config_path("exo_pose"))
     assert (cfg.adapter, cfg.trajectory.kind) == ("nal", "cartesian_quintic")
     task = _per_tick_calls(monkeypatch, arm7, cfg, names)
     assert task["axis_rotation"] == 0
-    assert task["_check_rotation"] <= 2
+    assert task["_check_rotation"] == 1
     cfg = load_sim(builtin_config_path("rrr_compare"))
     assert cfg.trajectory.kind == "joint_sine"
     joint = _per_tick_calls(monkeypatch, rrr3, cfg, names)
     assert joint["axis_rotation"] == 0
     assert joint["_check_rotation"] == 0
+
+
+def test_reference_is_sampled_once_per_run(arm7, rrr3, monkeypatch):
+    # the run tabulates its reference on the whole tick grid before the first
+    # tick; a tick reads its row, so it builds no Euler rotation, and the only
+    # quaternion of a task-mode tick is the measured tip's
+    names = ("euler_xyz_to_rotation", "quat_from_rotation")
+    for model, sim, mode in ((arm7, "exo_pose", "task"), (rrr3, "rrr_compare", "joint")):
+        cfg = load_sim(builtin_config_path(sim))
+        runs = _run_calls(monkeypatch, model, cfg, names)
+        assert runs[10]["tabulate"] == runs[20]["tabulate"] == 1
+        per_tick = {name: (runs[20].get(name, 0) - runs[10].get(name, 0)) / 10
+                    for name in names}
+        assert per_tick["euler_xyz_to_rotation"] == 0
+        assert per_tick["quat_from_rotation"] == (1 if mode == "task" else 0)
 
 
 def _potential(model, q):

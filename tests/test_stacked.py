@@ -5,24 +5,29 @@ Each check runs 200 random states of arm7, rrr3 and the one-joint pendulum
 by entry, a the stacked result and b the per-link oracle's.  The sweeps are
 products with the chain operator that ``chain_poses`` builds, and the joint
 rotations come from one gather over a cos/sin table; both are checked here
-against the one-link-at-a-time forms.
+against the one-link-at-a-time forms.  So are the constant maps of the tick
+(the regressor's, the Jacobian read off the chain operator, the estimates'
+unpack) and the scanned frame rotations, each against the form it replaced.
 """
 import numpy as np
 import pytest
 
-from conftest import random_consistent_params
+from conftest import random_consistent_params, random_rotation, random_transform
 from oracles import (
     assemble_matrices,
+    jacobian_cross_product,
     nal_step_per_link,
     net_wrench,
     propagate_accelerations_per_link,
     propagate_forces_per_link,
     propagate_velocities_per_link,
+    pseudo_to_vectors_unpack,
     regressor_per_body,
+    tip_rotations_sequential,
 )
 from vdcnal.adaptation import NalLinkAdapter
 from vdcnal.controller import propagate_accelerations, propagate_forces, propagate_velocities
-from vdcnal.kinematics import chain_poses
+from vdcnal.kinematics import RobotModel, chain_poses, jacobian
 from vdcnal.rigid_body import body_wrenches, mass_matrix, regressor
 from vdcnal.spatial import axis_rotation
 
@@ -155,3 +160,74 @@ def test_carried_decomposition_stays_the_estimate(model):
         assert np.all(np.abs(rebuilt - adapter.L) <= 1e-14 * scale)
         independent = np.linalg.eigvalsh(adapter.L)[:, 0]
         assert np.all(np.abs(adapter.min_eig() - independent) <= 1e-14 * scale[:, 0, 0])
+
+
+def _moved(model, rng) -> RobotModel:
+    """``model`` on a random base pose under a random gravity vector."""
+    return RobotModel(model.name, model.joints, random_transform(rng),
+                      rng.uniform(-10.0, 10.0, 3))
+
+
+def test_regressor_map_matches_per_body_regressor(model):
+    # random base rotations and gravity reach the map through R_AI g
+    rng = np.random.default_rng(77)
+    for _ in range(STATES):
+        moved = _moved(model, rng)
+        q = rng.uniform(-np.pi, np.pi, model.n)
+        qd, qdd = rng.standard_normal((2, model.n))
+        poses = chain_poses(moved, q)
+        vb, vt, _, _ = propagate_velocities(moved, poses, qd, qd)
+        ab = propagate_accelerations(moved, poses, qd, qdd, vt)
+        R_AI = np.swapaxes(poses.Rb, 1, 2)
+        _assert_close(regressor(ab, vb, R_AI, moved.gravity),
+                      [regressor_per_body(ab[i], vb[i], R_AI[i], moved.gravity)
+                       for i in range(model.n)])
+    # one body: random accelerations, velocities and rotations, not from a chain
+    for _ in range(STATES):
+        a, V = 5.0 * rng.standard_normal((2, 6))
+        R, g = random_rotation(rng), rng.uniform(-10.0, 10.0, 3)
+        _assert_close(regressor(a, V, R, g), regressor_per_body(a, V, R, g))
+
+
+def test_jacobian_matches_cross_product_form(model):
+    rng = np.random.default_rng(78)
+    for _ in range(STATES):
+        moved = _moved(model, rng)
+        poses = chain_poses(moved, rng.uniform(-np.pi, np.pi, model.n))
+        _assert_close(jacobian(moved, poses), jacobian_cross_product(moved, poses))
+
+
+def test_scanned_rotations_match_sequential_product(model):
+    rng = np.random.default_rng(79)
+    for _ in range(STATES):
+        moved = _moved(model, rng)
+        q = rng.uniform(-np.pi, np.pi, model.n)
+        poses = chain_poses(moved, q)
+        Rt = tip_rotations_sequential(moved, q)
+        _assert_close(poses.Rt, Rt)
+        _assert_close(poses.Rb, np.concatenate((moved.base.R[None], Rt[:-1])) @ poses.Rj)
+
+
+def test_phi_hat_matches_entrywise_unpack(model):
+    # also for estimates the law has moved, so L is not an exact image of a
+    # parameter vector.  The map copies m, h and the products of inertia and
+    # rounds each diagonal inertia entry once, I_xx = fl(L_11 + L_22); the
+    # unpack forms tr - L_00 and so rounds at the trace's scale, up to 2 ulps
+    rng = np.random.default_rng(80)
+    for k in range(STATES):
+        adapter = NalLinkAdapter([random_consistent_params(rng).as_vector()
+                                  for _ in range(model.n)], gamma=10.0)
+        if k % 2:
+            adapter.update(10.0 * rng.standard_normal((model.n, 10)), 1e-3)
+        L = adapter.L
+        got = adapter.phi_hat()
+        want = np.array([pseudo_to_vectors_unpack(Li) for Li in L])
+        assert got.shape == (model.n, 10)
+        diagonal = [4, 5, 6]
+        others = [0, 1, 2, 3, 7, 8, 9]
+        assert np.array_equal(got[:, others], want[:, others])
+        others_sum = L[:, [1, 0, 0], [1, 0, 0]] + L[:, [2, 2, 1], [2, 2, 1]]
+        assert np.array_equal(got[:, diagonal], others_sum)
+        trace = np.trace(L[:, :3, :3], axis1=1, axis2=2)
+        assert np.all(np.abs(got[:, diagonal] - want[:, diagonal])
+                      <= 2.0 * np.spacing(trace)[:, None])

@@ -13,9 +13,13 @@ a change in the host's speed hits both sides alike.
 
 Each ``VdcController.step`` call is timed, and the figures are the
 benchmark's fast-state statistic (``window_figures`` in ``bench/worker.py``,
-imported from there): ``sim_ticks_per_s`` and ``control_step_p50_ms``.  One
-line per pair and side is printed, then the medians over the pairs, the
-number of pairs the ``after`` tree won on each figure, and the largest
+imported from there): ``sim_ticks_per_s`` and ``control_step_p50_ms``.  The
+third figure, ``round_wall_s``, is the wall time of the whole round of
+``run_scenario`` calls, so per-run set-up (building the controller, its
+adapters and its reference table) counts too, and work moved out of the tick
+into set-up cannot pass for a gain.  One line per pair and side is printed,
+then the medians over the pairs, the number of pairs the ``after`` tree won
+on each figure, and the largest
 drift between the two trees' logs and summaries, entry by entry as
 |a - b| / (1 + |b|) with b the ``before`` value, the form the test suite's
 tolerances take, with the column or summary figure where it occurs.
@@ -80,16 +84,19 @@ class Side:
 
         controller.VdcController.step = timed_step
 
-    def round(self) -> tuple[list, tuple[float, float]]:
-        """All runs of the manifest once; returns the logs and the round's figures."""
+    def round(self) -> tuple[list, tuple[float, float, float]]:
+        """All runs of the manifest once; returns the logs and the round's figures
+        (tick rate, step time, the round's wall time)."""
         self.runs.clear()
         logs = []
+        started = time.perf_counter()
         for adapter in self.adapters:
             for rep in range(self.cfg.repetitions):
                 self.runs.append(([], []))
                 logs.append(self.simulation.run_scenario(self.model, self.cfg, repetition=rep,
                                                          adapter=adapter))
-        return logs, window_figures(self.runs)
+        wall_s = time.perf_counter() - started
+        return logs, (*window_figures(self.runs), wall_s)
 
 
 def drift(before_logs, after_logs) -> tuple[tuple, tuple]:
@@ -121,25 +128,23 @@ def main(argv=None) -> int:
     for pair in range(PAIRS):
         logs = {}
         for name in (("before", "after") if pair % 2 == 0 else ("after", "before")):
-            logs[name], (rate, step_ms) = sides[name].round()
-            figures[name].append((rate, step_ms))
+            logs[name], (rate, step_ms, wall_s) = sides[name].round()
+            figures[name].append((rate, step_ms, wall_s))
             print(f"pair {pair} {name:6s} sim_ticks_per_s {rate:8.1f} "
-                  f"control_step_p50_ms {step_ms:.4f}", flush=True)
+                  f"control_step_p50_ms {step_ms:.4f} round_wall_s {wall_s:.4f}", flush=True)
         worst = tuple(max(w, d, key=lambda x: x[0])
                       for w, d in zip(worst, drift(logs["before"], logs["after"])))
 
-    med = {name: [statistics.median(f[k] for f in figures[name]) for k in (0, 1)]
-           for name in sides}
-    won = [sum(bool(a[0] > b[0]) for a, b in zip(figures["after"], figures["before"])),
-           sum(bool(a[1] < b[1]) for a, b in zip(figures["after"], figures["before"]))]
-    result = {
-        "manifest": args.manifest, "pairs": PAIRS,
-        "sim_ticks_per_s": {"before": med["before"][0], "after": med["after"][0],
-                            "after_won": won[0]},
-        "control_step_p50_ms": {"before": med["before"][1], "after": med["after"][1],
-                                "after_won": won[1]},
-        "max_logged_rel_drift": list(worst[0]), "max_summary_rel_drift": list(worst[1]),
-    }
+    result = {"manifest": args.manifest, "pairs": PAIRS}
+    pairs = list(zip(figures["after"], figures["before"]))
+    for k, (figure, higher) in enumerate((("sim_ticks_per_s", True),
+                                          ("control_step_p50_ms", False),
+                                          ("round_wall_s", False))):
+        result[figure] = {
+            **{name: statistics.median(f[k] for f in figures[name]) for name in sides},
+            "after_won": sum(bool(a[k] > b[k] if higher else a[k] < b[k]) for a, b in pairs)}
+    result["max_logged_rel_drift"] = list(worst[0])
+    result["max_summary_rel_drift"] = list(worst[1])
     print(json.dumps(result))
     return 0
 
