@@ -72,8 +72,9 @@ def initial_link_estimate(phi: InertialParams, scale: float = 0.5) -> InertialPa
 # --- adapters: one class per law, run for a whole chain ---------------------
 #
 # One adapter object carries one law's state for the n links, or the n joint
-# drives, and advances it in place.  Every adapter has one method set, over
-# stacks with one row per body:
+# drives, and advances it in place.  It takes the true parameters, shaped as
+# its estimates, once at construction, for the accompanying function.  Every
+# adapter has one method set, over stacks with one row per body:
 #
 #   phi_hat()        the estimates as parameter vectors: (n, 10) for links,
 #                    (n, 1) (the drive inertias) for drives;
@@ -83,9 +84,8 @@ def initial_link_estimate(phi: InertialParams, scale: float = 0.5) -> InertialPa
 #   min_eig()        (n,) smallest eigenvalue of each estimate's
 #                    pseudo-inertia (a drive's 1x1 pseudo-inertia is the
 #                    estimate itself);
-#   distance(truth)  (n,) the law's distance-to-truth terms of the
-#                    accompanying function, weighted by the law's own gain;
-#                    ``truth`` has the shape phi_hat() has.
+#   distance()       (n,) the law's distance-to-truth terms of the
+#                    accompanying function, weighted by the law's own gain.
 #
 # So runs can mix laws or freeze parameters without the controller or the
 # monitor knowing which law a body uses.  ``update`` rebinds the state to new
@@ -100,9 +100,11 @@ def _min_eig(phi) -> np.ndarray:
 class FrozenAdapter:
     """Constant estimates: the law with rate zero."""
 
-    def __init__(self, phi):
+    def __init__(self, phi, truth):
         self._phi = np.array(phi, dtype=float)
         self._min_eig = _min_eig(self._phi)
+        # the projection term's limit as the rates go to zero
+        self._distance = np.where((self._phi == truth).all(axis=1), 0.0, np.inf)
 
     def phi_hat(self) -> np.ndarray:
         return self._phi
@@ -113,22 +115,22 @@ class FrozenAdapter:
     def min_eig(self) -> np.ndarray:
         return self._min_eig
 
-    def distance(self, truth) -> np.ndarray:
-        # the projection term's limit as the rates go to zero
-        return np.where(np.all(truth == self._phi, axis=1), 0.0, np.inf)
+    def distance(self) -> np.ndarray:
+        return self._distance
 
 
 class ProjectionAdapter:
     """Per-channel projection law on the links' ten channels or the drives' one:
-    estimates ``theta``, rates ``rho`` and the box [``lower``, ``upper``], all of
-    one shape, and checked once, here."""
+    estimates ``theta``, the ``truth``, rates ``rho`` and the box [``lower``,
+    ``upper``], all of one shape, and checked once, here."""
 
-    def __init__(self, theta, rho, lower, upper):
-        self.theta, self.rho, self.lower, self.upper = (
-            np.array(a, dtype=float) for a in (theta, rho, lower, upper))
-        if any(a.shape != self.theta.shape for a in (self.rho, self.lower, self.upper)):
+    def __init__(self, theta, truth, rho, lower, upper):
+        self.theta, self.truth, self.rho, self.lower, self.upper = (
+            np.array(a, dtype=float) for a in (theta, truth, rho, lower, upper))
+        if any(a.shape != self.theta.shape
+               for a in (self.truth, self.rho, self.lower, self.upper)):
             raise ValueError("projection arrays must share one length")
-        if not np.all(np.isfinite((self.theta, self.rho, self.lower, self.upper))):
+        if not np.all(np.isfinite((self.theta, self.truth, self.rho, self.lower, self.upper))):
             raise ValueError("projection estimates, rates and bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("projection bounds must satisfy lower < upper")
@@ -144,7 +146,7 @@ class ProjectionAdapter:
         half = np.maximum(bound_scale * np.abs(truth), bound_floor)
         theta0 = np.clip(np.asarray(theta0, dtype=float).reshape(truth.shape),
                          truth - half, truth + half)
-        return cls(theta0, np.full(truth.shape, rho), truth - half, truth + half)
+        return cls(theta0, truth, np.full(truth.shape, rho), truth - half, truth + half)
 
     def phi_hat(self) -> np.ndarray:
         return self.theta
@@ -158,88 +160,84 @@ class ProjectionAdapter:
     def min_eig(self) -> np.ndarray:
         return _min_eig(self.theta)
 
-    def distance(self, truth) -> np.ndarray:
-        return 0.5 * np.sum((self.theta - truth) ** 2 / self.rho, axis=1)
+    def distance(self) -> np.ndarray:
+        return 0.5 * np.sum((self.theta - self.truth) ** 2 / self.rho, axis=1)
 
 
 class NalLinkAdapter:
     """Natural law on the links' pseudo-inertias: the (n, 4, 4) estimates ``L``,
     their eigendecomposition L = Q diag(w) Q' (``w`` ascending) and the one gain
-    ``gamma``.  ``method`` is ``geometric`` (the congruence step, default) or
-    ``euler``."""
+    ``gamma``; the true pseudo-inertias with their log determinants.  ``method``
+    is ``geometric`` (the congruence step, default) or ``euler``."""
 
-    def __init__(self, phi0, gamma: float, method: str = "geometric", truth=None):
+    def __init__(self, phi0, truth, gamma: float, method: str = "geometric"):
         if not gamma > 0.0:
             raise ValueError("gamma must be positive")
         if method not in ("geometric", "euler"):
             raise ValueError(f"unknown method {method!r}")
-        self.L = params_to_pseudo(phi0).reshape(-1, 4, 4)
-        self.w, self.Q = np.linalg.eigh(self.L)
         self.gamma = float(gamma)
         self.method = method
-        self._truth = (None,)
-        if truth is not None:
-            self._truth_side(truth)
+        L = params_to_pseudo(truth)
+        self._truth = (L, spd_log_det(L, "true pseudo-inertia"))
+        self._decompose(params_to_pseudo(phi0).reshape(-1, 4, 4))
 
-    def _truth_side(self, truth):
-        """Pseudo-inertias of ``truth`` and their log determinants, kept for the
-        last truth array seen (held, and compared by ``is``)."""
-        if self._truth[0] is not truth:
-            L = params_to_pseudo(truth)
-            self._truth = (truth, L, spd_log_det(L, "true pseudo-inertia"))
-        return self._truth[1:]
+    def _decompose(self, L):
+        """Carry L and its eigendecomposition.  An estimate outside the cone (no
+        L^1/2, no log|L|) raises ``LinAlgError``, which a run reports as a divergence."""
+        self.L = L
+        self.w, self.Q = np.linalg.eigh(L)
+        if not (self.w[:, 0] > 0.0).all():
+            raise np.linalg.LinAlgError("link estimate left the positive-definite cone")
 
     def phi_hat(self) -> np.ndarray:
         return pseudo_to_vectors(self.L)
 
     def update(self, S, dt):
         """One sample of the law for every link.  The geometric step keeps L
-        positive definite for any dt and S and forms L^1/2 from the carried
-        decomposition; the Euler step is the plain first-order one, kept as a
-        cross-check.  Either way the new L is decomposed once, for the next
-        step and for ``min_eig`` and ``distance``."""
+        positive definite for any dt and S in exact arithmetic and forms L^1/2
+        from the carried decomposition; the Euler step is the plain first-order
+        one, kept as a cross-check.  Either way the new L is decomposed once,
+        for the next step and for ``min_eig`` and ``distance``."""
         S = solve_dual(S)
         if self.method == "geometric":
-            if np.any(self.w[:, 0] <= 0.0):
-                raise ValueError("pseudo-inertia lost positive definiteness")
             H = _congruence(self.Q, np.sqrt(self.w))
             A = (dt / self.gamma) * (H @ S @ H)
             e, V = np.linalg.eigh(0.5 * (A + np.swapaxes(A, 1, 2)))
             L = H @ _congruence(V, np.exp(e)) @ H
         else:
             L = self.L + (dt / self.gamma) * (self.L @ S @ self.L)
-        self.L = 0.5 * (L + np.swapaxes(L, 1, 2))
-        self.w, self.Q = np.linalg.eigh(self.L)
+        self._decompose(0.5 * (L + np.swapaxes(L, 1, 2)))
 
     def min_eig(self) -> np.ndarray:
         return self.w[:, 0]
 
-    def distance(self, truth) -> np.ndarray:
+    def distance(self) -> np.ndarray:
         """Log-det Bregman divergences of the estimates from the truth, over 2 gamma."""
-        return bregman_divergence(*self._truth_side(truth), self.w, self.Q) / (2.0 * self.gamma)
+        return bregman_divergence(*self._truth, self.w, self.Q) / (2.0 * self.gamma)
 
 
 class NalJointAdapter:
     """Natural law on the drive inertias: the 1x1 case of the congruence step,
     l+ = l exp(dt s l / gamma), in closed form."""
 
-    def __init__(self, i0, gamma: float):
+    def __init__(self, i0, truth, gamma: float):
         self._l = np.array(i0, dtype=float).reshape(-1, 1)
+        self._truth = np.array(truth, dtype=float).reshape(-1, 1)
         self.gamma = float(gamma)
 
     def phi_hat(self) -> np.ndarray:
         return self._l
 
     def update(self, S, dt):
-        if np.any(self._l <= 0.0):
+        if (self._l <= 0.0).any():
             raise ValueError("scalar pseudo-inertia must be positive")
         self._l = self._l * np.exp(dt * S * self._l / self.gamma)
 
     def min_eig(self) -> np.ndarray:
         return self._l[:, 0]
 
-    def distance(self, truth) -> np.ndarray:
+    def distance(self) -> np.ndarray:
         """The 1x1 Bregman divergences log(l/i) + i/l - 1, over 2 gamma."""
         l_hat = self._l[:, 0]
-        i_m = truth[:, 0]
+        i_m = self._truth[:, 0]
         return (np.log(l_hat / i_m) + i_m / l_hat - 1.0) / (2.0 * self.gamma)

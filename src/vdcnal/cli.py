@@ -108,9 +108,9 @@ def cmd_validate(paths) -> int:
                 model = load_robot(path)
                 print(f"{name}: ok (robot {model.name!r}, {model.n} joints)")
             elif kind == "manifest":
-                manifest = load_manifest(path)
-                print(f"{name}: ok (manifest, scenario {manifest.scenario!r}, "
-                      f"{manifest.repetitions} repetitions)")
+                cfg = load_manifest(path).cfg
+                print(f"{name}: ok (manifest, scenario {cfg.scenario!r}, "
+                      f"{cfg.repetitions} repetitions)")
             else:
                 cfg = load_sim(path)
                 print(f"{name}: ok (sim, scenario {cfg.scenario!r}, "
@@ -124,15 +124,16 @@ def cmd_validate(paths) -> int:
 # --- run ----------------------------------------------------------------------
 
 def _snapshot_configs(manifest: ExperimentManifest, outdir: pathlib.Path) -> None:
+    cfg = manifest.cfg
     snapdir = outdir / "config"
     snapdir.mkdir(parents=True, exist_ok=True)
     robot_copy = snapdir / manifest.robot_path.name
     sim_copy = snapdir / manifest.sim_path.name
     shutil.copyfile(manifest.robot_path, robot_copy)
     shutil.copyfile(manifest.sim_path, sim_copy)
-    snap = {"scenario": manifest.scenario, "robot": robot_copy.name,
+    snap = {"scenario": cfg.scenario, "robot": robot_copy.name,
             "sim": sim_copy.name, "output_dir": str(outdir),
-            "repetitions": manifest.repetitions, "seed": manifest.seed}
+            "repetitions": cfg.repetitions, "seed": cfg.seed}
     with open(snapdir / "manifest.yaml", "w", encoding="utf-8") as fh:
         yaml.safe_dump(snap, fh, sort_keys=False)
 
@@ -165,15 +166,15 @@ def cmd_run(manifest_path, output_override=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     _snapshot_configs(manifest, outdir)
 
-    adapters = ("nal", "projection") if manifest.scenario == "rrr-compare" \
+    adapters = ("nal", "projection") if cfg.scenario == "rrr-compare" \
         else (cfg.adapter,)
     results = {}
     timing = {}
     for adapter in adapters:
         reps = []
-        for rep in range(manifest.repetitions):
+        for rep in range(cfg.repetitions):
             log = run_scenario(model, cfg, repetition=rep, adapter=adapter)
-            csv_path = outdir / f"{_slug(manifest.scenario)}_{adapter}_rep{rep}.csv"
+            csv_path = outdir / f"{_slug(cfg.scenario)}_{adapter}_rep{rep}.csv"
             write_run_csv(csv_path, log)
             reps.append(log.summary)
             timing[f"{adapter}_rep{rep}_s"] = round(log.meta["wall_time_s"], 3)
@@ -184,11 +185,11 @@ def cmd_run(manifest_path, output_override=None) -> int:
         results[adapter] = {"repetitions": reps, "aggregate": _aggregate(reps)}
 
     summary = {
-        "scenario": manifest.scenario,
+        "scenario": cfg.scenario,
         "model": model.name,
         "joints": model.n,
-        "repetitions": manifest.repetitions,
-        "seed": manifest.seed,
+        "repetitions": cfg.repetitions,
+        "seed": cfg.seed,
         "adapters": {a: results[a] for a in adapters},
         "tuning_burden": {
             "joints": model.n,
@@ -201,7 +202,7 @@ def cmd_run(manifest_path, output_override=None) -> int:
         },
         "timing": timing,
     }
-    if manifest.scenario == "exo-pose":
+    if cfg.scenario == "exo-pose":
         summary["hardware_context"] = _HARDWARE_CONTEXT
     with open(outdir / _SUMMARY_NAME, "w", encoding="utf-8") as fh:
         yaml.safe_dump(summary, fh, sort_keys=False, width=100)

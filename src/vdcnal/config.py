@@ -4,8 +4,7 @@ Key names carry explicit units (mass_kg, com_m, tip_offset_m, ...) so the
 files are self-describing.  Link inertias are written about the center of
 mass in the link's own axes as [xx, yy, zz, xy, yz, xz]; the loader applies
 the parallel-axis shift so the in-memory model is always about the frame
-origin.  Loaders raise ConfigError with the file and the offending key;
-``validate_deliverables`` style checks live on the loaded objects.
+origin.  Loaders raise ConfigError with the file and the offending key.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ import numpy as np
 import yaml
 
 from .controller import ControllerGains
-from .kinematics import Joint, Pose, RobotModel
+from .kinematics import Joint, RobotModel
 from .rigid_body import GRAVITY, InertialParams
 from .simulation import AdaptationSpec, DisturbanceSpec, SimConfig, TrajectorySpec
 from .spatial import FrameTransform, euler_xyz_to_rotation
@@ -136,9 +135,9 @@ def _transform(node: dict, rot_key: str, off_key: str, where: str) -> FrameTrans
     return FrameTransform(euler_xyz_to_rotation(*angles), offset)
 
 
-_ROBOT_KEYS = ("name", "gravity_mps2", "base", "joints", "home_pose")
+_ROBOT_KEYS = ("name", "gravity_mps2", "base", "joints")
 _JOINT_KEYS = ("name", "axis", "motor_inertia_kgm2", "tip_offset_m", "tip_rotation_xyz_rad",
-               "link", "limit_rad")
+               "link")
 _LINK_KEYS = ("mass_kg", "com_m", "inertia_com_kgm2")
 
 
@@ -175,26 +174,15 @@ def load_robot(path) -> RobotModel:
         com = _vec(lnode, "com_m", f"{where}.link", 3)
         xx, yy, zz, xy, yz, xz = _vec(lnode, "inertia_com_kgm2", f"{where}.link", 6)
         inertia_com = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
-        limit = _vec(jnode, "limit_rad", where, 2) if "limit_rad" in jnode \
-            else (-np.pi, np.pi)
         motor = _number(jnode, "motor_inertia_kgm2", where)
         tip = _transform(jnode, "tip_rotation_xyz_rad", "tip_offset_m", where)
         try:
             joints.append(Joint(name=jname, axis=axis, motor_inertia=motor, tip=tip,
-                                link=InertialParams.from_com(mass, com, inertia_com),
-                                limit=(float(limit[0]), float(limit[1]))))
+                                link=InertialParams.from_com(mass, com, inertia_com)))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
-    home = None
-    if "home_pose" in doc:
-        hnode = _only(doc["home_pose"], ("position_m", "euler_xyz_rad"), f"{path}:home_pose")
-        angles = _vec(hnode, "euler_xyz_rad", f"{path}:home_pose", 3)
-        home = Pose.from_rotation(_vec(hnode, "position_m", f"{path}:home_pose", 3),
-                                  euler_xyz_to_rotation(*angles))
-
-    model = RobotModel(name=name, joints=tuple(joints), base=base,
-                       gravity=gravity, home_pose=home)
+    model = RobotModel(name=name, joints=tuple(joints), base=base, gravity=gravity)
     problems = model.validate()
     if problems:
         raise ConfigError(f"{path}: " + "; ".join(problems))
@@ -254,12 +242,9 @@ def load_sim(path) -> SimConfig:
 class ExperimentManifest:
     """Which robot, which settings, where the artifacts go; loaded once."""
 
-    scenario: str
     robot_path: pathlib.Path
     sim_path: pathlib.Path
     output_dir: pathlib.Path
-    repetitions: int
-    seed: int
     model: RobotModel
     cfg: SimConfig
 
@@ -306,5 +291,4 @@ def load_manifest(path, output_override=None) -> ExperimentManifest:
     problems = cfg.validate(model)
     if problems:
         raise ConfigError(f"{sim_path}: " + "; ".join(problems))
-    return ExperimentManifest(cfg.scenario, robot_path, sim_path, output_dir,
-                              cfg.repetitions, cfg.seed, model, cfg)
+    return ExperimentManifest(robot_path, sim_path, output_dir, model, cfg)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .kinematics import (ChainPoses, Pose, RobotModel, chain_poses, clik_required_velocity,
                          jacobian, pose_error)
-from .rigid_body import body_wrenches, mass_matrix, regressor
+from .rigid_body import body_wrenches, regressor
 from .spatial import rotation_to_euler_xyz
 
 
@@ -109,9 +109,7 @@ def propagate_accelerations(model: RobotModel, poses: ChainPoses, qdot, qddot, v
 
 def link_control_wrench(W, phi_hat, k_b, v_r, v) -> np.ndarray:
     """Required net wrenches W phi_hat + K_B (V_r - V), one row per link."""
-    dv = v_r - v
-    fb = dv @ np.transpose(k_b) if np.ndim(k_b) == 2 else k_b * dv
-    return (W @ phi_hat[..., None])[..., 0] + fb
+    return (W @ phi_hat[..., None])[..., 0] + k_b * (v_r - v)
 
 
 def propagate_forces(model: RobotModel, poses: ChainPoses, net_b, tip):
@@ -255,11 +253,6 @@ class StabilityDiagnostics:
     min_eigs: np.ndarray       # (n,) of the link pseudo-inertia estimates
 
 
-# the monitor's constants of the last model it saw: the true links' mass
-# matrices (which carry skew(h)); the model is held, so `is` identifies it
-_monitor_constants: tuple[RobotModel, np.ndarray] | None = None
-
-
 def stability_diagnostics(model: RobotModel, snap: StepSnapshot, q, qdot, qddot,
                           tip_wrench, link_adapters, joint_adapters) -> StabilityDiagnostics:
     """Measured-side force sweep plus the decrescent bookkeeping.
@@ -268,22 +261,18 @@ def stability_diagnostics(model: RobotModel, snap: StepSnapshot, q, qdot, qddot,
     simulation-side monitor, not part of the control law.  ``tip_wrench`` is
     the wrench the chain passes to the environment at T_n, in that frame.
     """
-    global _monitor_constants
-    if _monitor_constants is None or _monitor_constants[0] is not model:
-        _monitor_constants = (model, np.array([mass_matrix(j.link) for j in model.joints]))
-    mass = _monitor_constants[1]
     poses = snap.poses
     ab = propagate_accelerations(model, poses, qdot, qddot, snap.vt)
-    net = body_wrenches(mass, ab, snap.vb, np.swapaxes(poses.Rb, 1, 2), model.gravity)
+    net = body_wrenches(model.link_mass, ab, snap.vb, np.swapaxes(poses.Rb, 1, 2), model.gravity)
     fb, ft = propagate_forces(model, poses, net, tip_wrench)
 
     dv = snap.vrb - snap.vb
     vpf = virtual_power_flow(snap.vrb, snap.vb, snap.fr_b, fb)
-    nu_links = (0.5 * np.einsum("ni,nij,nj->n", dv, mass, dv)
-                + link_adapters.distance(model.link_phi))
+    nu_links = (0.5 * np.einsum("ni,nij,nj->n", dv, model.link_mass, dv)
+                + link_adapters.distance())
     dqd = snap.qdot_r - qdot
     nu_joints = (0.5 * model.drive_phi[:, 0] * dqd ** 2
-                 + joint_adapters.distance(model.drive_phi))
+                 + joint_adapters.distance())
 
     p_t = virtual_power_flow(snap.vrt[:-1], snap.vt[:-1], snap.fr_t[:-1], ft[:-1])
     rows = (np.arange(1, model.n), model.slots[1:])

@@ -19,14 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .rigid_body import InertialParams
-from .spatial import (AXIS_ROTATION_PATTERN, FrameTransform, UnitQuaternion, axis_vector,
+from .rigid_body import InertialParams, mass_matrix
+from .spatial import (AXIS_ROTATION_PATTERN, FrameTransform, UnitQuaternion,
                       euler_xyz_rate_matrix, euler_xyz_to_quaternion, euler_xyz_to_rotation,
                       prefix_products, quat_from_rotation, rotation_to_euler_xyz,
                       rotations_to_euler_xyz, skew, transform_velocity_raw,
                       transform_wrench_raw)
 
-# selector slots: linear part first, angular part last
+# each axis's slot in a 6-vector: linear part first, angular part last
 _AXIS_SLOT = {"x": 3, "y": 4, "z": 5}
 
 # axis pattern required of seven-joint arm models (shoulder/elbow/wrist layout)
@@ -42,24 +42,12 @@ class Joint:
     motor_inertia: float            # reflected drive inertia, kg m^2
     tip: FrameTransform             # constant B_i -> T_i transform
     link: InertialParams            # link body, written in B_i
-    limit: tuple[float, float] = (-np.pi, np.pi)
 
     def __post_init__(self):
         if self.axis not in _AXIS_SLOT:
             raise ValueError(f"joint {self.name!r}: axis must be one of x, y, z")
         if self.motor_inertia < 0.0:
             raise ValueError(f"joint {self.name!r}: motor inertia must be >= 0")
-
-    @property
-    def selector(self) -> np.ndarray:
-        """6-vector picking the joint's angular axis (the kappa vector)."""
-        k = np.zeros(6)
-        k[_AXIS_SLOT[self.axis]] = 1.0
-        return k
-
-    @property
-    def axis_unit(self) -> np.ndarray:
-        return axis_vector(self.axis)
 
 
 @dataclass(frozen=True)
@@ -102,9 +90,9 @@ class RobotModel:
     joints: tuple[Joint, ...]
     base: FrameTransform
     gravity: np.ndarray
-    home_pose: Pose | None = None
-    # per-joint constants stacked along the chain, read-only, built once; the
-    # true parameters are shaped as the link and drive adapters' estimates
+    # per-joint constants stacked along the chain, read-only, built once: the
+    # only home of per-model constants.  The true parameters are shaped as the
+    # link and drive adapters' estimates
     slots: np.ndarray = field(init=False, repr=False, compare=False)
     columns: np.ndarray = field(init=False, repr=False, compare=False)
     axis_cross: np.ndarray = field(init=False, repr=False, compare=False)
@@ -118,6 +106,11 @@ class RobotModel:
     tip_wrench: np.ndarray = field(init=False, repr=False, compare=False)
     link_phi: np.ndarray = field(init=False, repr=False, compare=False)
     drive_phi: np.ndarray = field(init=False, repr=False, compare=False)
+    link_mass: np.ndarray = field(init=False, repr=False, compare=False)
+    plant_mount_R: np.ndarray = field(init=False, repr=False, compare=False)
+    axis_index: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_index: np.ndarray = field(init=False, repr=False, compare=False)
+    motor_diag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.array(self.gravity, dtype=float)
@@ -126,11 +119,12 @@ class RobotModel:
         joints = tuple(self.joints)
         n, unit = len(joints), np.eye(6)
         slots = np.array([_AXIS_SLOT[j.axis] for j in joints], dtype=int)
-        axes = np.array([j.axis_unit for j in joints]).reshape(n, 3)
+        axes = np.eye(3)[slots - 3]
         # entry (i, a, b) of joint i's rotation is row pattern[a, b] of the
         # (5, n) table of values, column i
         pattern = np.array([AXIS_ROTATION_PATTERN[j.axis] for j in joints], dtype=int)
         blocks = np.arange(n)
+        i, k = np.indices((n, n))
         stacks = {
             "gravity": g,
             "slots": slots,
@@ -150,6 +144,14 @@ class RobotModel:
                                     for j in joints]).reshape(n, 6, 6).transpose(0, 2, 1),
             "link_phi": np.array([j.link.as_vector() for j in joints]).reshape(n, 10),
             "drive_phi": np.array([[j.motor_inertia] for j in joints], dtype=float).reshape(n, 1),
+            # the links' mass matrices in their B frames; the plant's mounts about
+            # the base (I first), flat indices of each joint's axis column in an
+            # (n, 3, 3) stack and of (min(i, k), max(i, k)) in n x n, and diag(I_m)
+            "link_mass": np.array([mass_matrix(j.link) for j in joints]).reshape(n, 6, 6),
+            "plant_mount_R": np.array([np.eye(3)] + [j.tip.R for j in joints])[:n],
+            "axis_index": 9 * blocks[:, None] + 3 * np.arange(3) + (slots - 3)[:, None],
+            "pair_index": np.minimum(i, k) * n + np.maximum(i, k),
+            "motor_diag": np.diag([j.motor_inertia for j in joints]),
         }
         for name, a in stacks.items():
             a = np.ascontiguousarray(a)
@@ -178,8 +180,6 @@ class RobotModel:
             if not is_consistent(j.link):
                 problems.append(f"link {i} ({j.name}): inertial parameters are not "
                                 f"physically consistent (pseudo-inertia not positive definite)")
-            if not j.limit[0] < j.limit[1]:
-                problems.append(f"joint {i} ({j.name}): empty joint-limit interval")
         if self.n == 7:
             axes = tuple(j.axis for j in self.joints)
             if axes != SEVEN_JOINT_AXES:
@@ -233,8 +233,6 @@ def chain_poses(model: RobotModel, q) -> ChainPoses:
 
 def forward_kinematics(model: RobotModel, q) -> Pose:
     """Pose of the last frame (T_n) in world coordinates."""
-    if model.n == 0:
-        return Pose.from_rotation(model.base.r, model.base.R)
     poses = chain_poses(model, q)
     return Pose.from_rotation(poses.pt[-1], poses.Rt[-1])
 

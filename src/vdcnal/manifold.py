@@ -50,15 +50,6 @@ def pseudo_to_vectors(L) -> np.ndarray:
     return L.reshape(L.shape[:-2] + (16,)) @ _VECTOR_MAP
 
 
-def pseudo_to_params(L) -> InertialParams:
-    """Checked inverse of :func:`params_to_pseudo` for one matrix."""
-    L = np.asarray(L, dtype=float)
-    if L.shape != (4, 4) or np.max(np.abs(L - L.T)) > 1e-9 * (1.0 + np.max(np.abs(L))):
-        raise ValueError("pseudo-inertia must be a symmetric 4x4")
-    m, hx, hy, hz, xx, yy, zz, xy, yz, xz = pseudo_to_vectors(0.5 * (L + L.T))
-    return InertialParams(m, [hx, hy, hz], [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
-
-
 def is_consistent(phi) -> bool:
     """Physical-consistency test: min eig of the pseudo-inertia above tolerance.
 
@@ -85,7 +76,7 @@ def bregman_divergence(L1, log_det1, w2, Q2) -> np.ndarray:
     L2 by its eigendecomposition Q2 diag(w2) Q2', so log|L2| = sum(log w2) and
     L2^-1 = Q2 diag(1/w2) Q2' cost no further factorization.
     """
-    if np.any(w2[..., 0] <= 0.0):
+    if (w2[..., 0] <= 0.0).any():
         raise ValueError("L2 must be positive definite")
     inv = (Q2 / w2[..., None, :]) @ np.swapaxes(Q2, -1, -2)
     return (np.sum(np.log(w2), axis=-1) - log_det1

@@ -59,10 +59,6 @@ class InertialParams:
         object.__setattr__(self, "first_moment", h)
         object.__setattr__(self, "inertia", I)
 
-    @property
-    def com(self) -> np.ndarray:
-        return self.first_moment / self.mass
-
     @classmethod
     def from_com(cls, mass: float, com, inertia_com) -> "InertialParams":
         """Build from center-of-mass data; applies the parallel-axis shift."""

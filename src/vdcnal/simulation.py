@@ -3,11 +3,12 @@
 The plant side deliberately does not reuse the controller's sweeps or its
 chain poses.  The controller works in each link's own frame and composes
 link-to-link transforms; the plant writes every spatial vector in base
-coordinates about the base origin, from per-link constants it builds itself,
-and forms net wrenches with the spatial cross product rather than the
-regressor.  Another frame, another velocity-product form and another
-composition make agreement with the controller-side force propagation a
-genuine cross-check rather than the same code run twice.
+coordinates about the base origin and forms net wrenches with the spatial
+cross product rather than the regressor.  It shares the model's constants
+(the link mass matrices, the tip offsets), but another frame, another
+velocity-product form and another composition make agreement with the
+controller-side force propagation a genuine cross-check rather than the same
+code run twice.
 
 The joint-space plant is
 
@@ -42,70 +43,27 @@ from .controller import (ControllerGains, StabilityDiagnostics, VdcController,
                          stability_diagnostics)
 from .kinematics import (CartesianQuinticReference, JointSineReference, RobotModel,
                          forward_kinematics)
-from .rigid_body import mass_matrix
 from .spatial import motion_cross, prefix_products, skew
 
 
-def _as_world_wrench(f_ext) -> np.ndarray | None:
-    if f_ext is None:
-        return None
-    f_ext = np.asarray(f_ext, dtype=float)
-    if f_ext.shape == (3,):                 # pure force
-        return np.concatenate((f_ext, np.zeros(3)))
-    return f_ext.reshape(6)
-
-
-@dataclass(frozen=True)
-class _PlantConstants:
-    """Per-link constants of the plant, stacked along the chain, and its index tables."""
-
-    mass: np.ndarray                # (n, 6, 6) spatial mass matrices, each in its B frame
-    mount: np.ndarray               # (n, 3, 3) T_{i-1} in B_{i-1}: I at the base, then tip R
-    tip_r: np.ndarray               # (n, 3) B_i -> T_i offsets, in B_i
-    motor: np.ndarray               # diag(I_m)
-    axis: tuple                     # (links, axis column): each joint axis in its B rotation
-    upper: np.ndarray               # (n, n) flat index of (min(i, j), max(i, j)) in n x n
-
-    @classmethod
-    def build(cls, model: RobotModel) -> "_PlantConstants":
-        n = model.n
-        i, j = np.indices((n, n))
-        return cls(np.array([mass_matrix(joint.link) for joint in model.joints]),
-                   np.array([np.eye(3)] + [joint.tip.R for joint in model.joints[:-1]]),
-                   np.array([joint.tip.r for joint in model.joints]),
-                   np.diag([joint.motor_inertia for joint in model.joints]),
-                   (np.arange(n), np.array(["xyz".index(joint.axis)
-                                            for joint in model.joints])),
-                   np.minimum(i, j) * n + np.maximum(i, j))
-
-
-# the last model the plant saw, held (so its id cannot be reused) and compared by `is`
-_cached_constants: tuple[RobotModel, _PlantConstants] | None = None
-
-
-def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=None,
-                  with_mass: bool = True):
-    """(bias, M_link + diag(I_m)); M is None without ``with_mass``.
+def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=None):
+    """(bias, M_link + diag(I_m)).
 
     The prefix sums of the module docstring, in base coordinates about the base
     origin: v = cumsum(S qdot); a = cumsum(S qddot + v x S qdot) on top of
     gravity as an upward base acceleration; net wrenches I a + v x* I v with
     the base-frame inertias I = Y' M Y.
     """
-    global _cached_constants
-    if _cached_constants is None or _cached_constants[0] is not model:
-        _cached_constants = (model, _PlantConstants.build(model))
-    k = _cached_constants[1]
     n = model.n
     g = model.gravity if gravity is None else np.asarray(gravity, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
 
     # B_i rotations in the base, Rb_i = Rb_{i-1} Rtip_{i-1} Rj_i, by a log-depth scan
-    Rb = prefix_products(k.mount @ model.joint_rotations(np.asarray(q, dtype=float)))
+    Rb = prefix_products(model.plant_mount_R @ model.joint_rotations(np.asarray(q, dtype=float)))
     # skew of each joint origin p_i, and last that of the tip-frame origin
     px = skew(np.concatenate((np.zeros((1, 3)),
-                              np.add.accumulate((Rb @ k.tip_r[:, :, None])[:, :, 0]))))
-    u = Rb[k.axis[0], :, k.axis[1]]
+                              np.add.accumulate((Rb @ model.tip_r[:, :, None])[:, :, 0]))))
+    u = Rb.take(model.axis_index)
     S = np.concatenate(((px[:-1] @ u[:, :, None])[:, :, 0], u), axis=1)
 
     # [a | v] per link; the gravity row enters the first link's drive term
@@ -123,38 +81,30 @@ def _newton_euler(model: RobotModel, q, qdot, qddot=None, f_ext=None, gravity=No
     Y = np.zeros((n, 6, 6))
     Y[:, :3, :3] = Y[:, 3:, 3:] = Rb.transpose(0, 2, 1)
     Y[:, :3, 3:] = Y[:, :3, :3] @ -px[:-1]
-    inertia = Y.transpose(0, 2, 1) @ k.mass @ Y
+    inertia = Y.transpose(0, 2, 1) @ model.link_mass @ Y
     Iav = inertia @ av
     net = Iav[:, :, 0] - (crm.transpose(0, 2, 1) @ Iav[:, :, 1:])[:, :, 0]
 
-    w_ext = _as_world_wrench(f_ext)
-    if w_ext is not None:           # the chain passes on -f_ext at the tip
-        f, m = w_ext.reshape(2, 3) @ model.base.R       # both in base coordinates
+    if f_ext is not None:           # the chain passes on -f_ext at the tip
+        f, m = np.reshape(f_ext, (2, 3)) @ model.base.R     # both in base coordinates
         net[-1, :3] -= f
         net[-1, 3:] -= m + px[-1] @ f
     bias = (S * np.add.accumulate(net[::-1])[::-1]).sum(axis=1)
-    if not with_mass:
-        return bias, None
     composite = np.add.accumulate(inertia[::-1])[::-1]
     SIS = S @ (composite @ S[:, :, None])[:, :, 0].T
-    return bias, SIS.take(k.upper) + k.motor
+    return bias, SIS.take(model.pair_index) + model.motor_diag
 
 
 def inverse_dynamics(model: RobotModel, q, qdot, qddot, f_ext=None,
                      gravity=None) -> np.ndarray:
     """Joint torques balancing the chain at (q, qdot, qddot).
 
-    ``f_ext`` is the wrench the environment applies to the tip, world frame,
-    about the tip-frame origin (a bare 3-vector is read as a pure force); the
-    chain passes on its negative at T_n.  ``gravity`` overrides the model's
-    inertial-frame gravity vector (used to switch gravity off).
+    ``f_ext`` is the wrench [f, m] the environment applies to the tip, world
+    frame, about the tip-frame origin; the chain passes on its negative at T_n.
+    ``gravity`` overrides the model's inertial-frame gravity vector (used to
+    switch gravity off).
     """
-    return _newton_euler(model, q, qdot, qddot, f_ext, gravity, with_mass=False)[0]
-
-
-def joint_space_mass_matrix(model: RobotModel, q) -> np.ndarray:
-    """Chain mass matrix plus the reflected drive inertias on the diagonal."""
-    return _newton_euler(model, q, np.zeros(model.n), gravity=np.zeros(3))[1]
+    return _newton_euler(model, q, qdot, qddot, f_ext, gravity)[0]
 
 
 def forward_dynamics(model: RobotModel, q, qdot, tau, f_ext=None) -> np.ndarray:
@@ -325,8 +275,8 @@ def make_adapters(model: RobotModel, kind: str, gains: ControllerGains,
                       for joint in model.joints]).reshape(model.n, 10)
     i0 = spec.initial_scale * model.drive_phi
     if kind == "nal":
-        return (NalLinkAdapter(guess, gains.gamma, spec.nal_integrator, truth=model.link_phi),
-                NalJointAdapter(np.maximum(i0, 1e-8), gains.gamma_a))
+        return (NalLinkAdapter(guess, model.link_phi, gains.gamma, spec.nal_integrator),
+                NalJointAdapter(np.maximum(i0, 1e-8), model.drive_phi, gains.gamma_a))
     if kind == "projection":
         return (ProjectionAdapter.around_truth(
                     model.link_phi, guess, spec.projection_rho,
@@ -334,7 +284,8 @@ def make_adapters(model: RobotModel, kind: str, gains: ControllerGains,
                 ProjectionAdapter.around_truth(
                     model.drive_phi, i0, spec.projection_rho,
                     spec.projection_bound_scale, 1e-2 * spec.projection_bound_floor))
-    return FrozenAdapter(model.link_phi), FrozenAdapter(model.drive_phi)
+    return (FrozenAdapter(model.link_phi, model.link_phi),
+            FrozenAdapter(model.drive_phi, model.drive_phi))
 
 
 def initial_configuration(model: RobotModel, cfg: SimConfig, repetition: int) -> np.ndarray:
@@ -412,8 +363,8 @@ def run_scenario(model: RobotModel, cfg: SimConfig, repetition: int = 0,
             diag = stability_diagnostics(model, snap, q, qdot, qddot, tip_wrench,
                                          link_adapters, joint_adapters)
         except np.linalg.LinAlgError as exc:
-            # a blown-up adapter state hits the eigensolver before the state
-            # check below can notice; report it as the same divergence
+            # a blown-up adapter state (a link estimate out of the cone) shows
+            # before the state check below can notice; the same divergence
             raise FloatingPointError(
                 f"simulation diverged at t = {t:.3f} s "
                 f"(repetition {repetition}): {exc}") from exc
@@ -424,7 +375,7 @@ def run_scenario(model: RobotModel, cfg: SimConfig, repetition: int = 0,
         else:
             q, qdot, _ = step_rk4(model, q, qdot, tau, dt,
                                   wrench_fn=cfg.disturbance.wrench, t=t, qddot=qddot)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
+        if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
             raise FloatingPointError(f"simulation diverged at t = {t:.3f} s "
                                      f"(repetition {repetition})")
     elapsed = time.perf_counter() - started

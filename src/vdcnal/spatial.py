@@ -76,33 +76,12 @@ AXIS_ROTATION_PATTERN = {
     "y": np.array([[2, 0, 3], [0, 1, 0], [4, 0, 2]]),
     "z": np.array([[2, 4, 0], [3, 2, 0], [0, 0, 1]]),
 }
-_AXIS_VEC = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
 
 
 def axis_rotation(axis: str, theta: float) -> np.ndarray:
     """Rotation about a named principal axis ('x', 'y' or 'z')."""
     c, s = np.cos(theta), np.sin(theta)
     return np.array([0.0, 1.0, c, s, -s])[AXIS_ROTATION_PATTERN[axis]]
-
-
-def rot_x(theta: float) -> np.ndarray:
-    return axis_rotation("x", theta)
-
-
-def rot_y(theta: float) -> np.ndarray:
-    return axis_rotation("y", theta)
-
-
-def rot_z(theta: float) -> np.ndarray:
-    return axis_rotation("z", theta)
-
-
-def axis_vector(axis: str) -> np.ndarray:
-    return _AXIS_VEC[axis]
 
 
 def euler_xyz_to_rotation(alpha, beta, delta) -> np.ndarray:
@@ -256,9 +235,6 @@ class UnitQuaternion:
         if self.w < 0.0 or (self.w == 0.0 and nz.size and nz[0] < 0.0):
             return UnitQuaternion(-self.w, -self.vec)
         return self
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.w], self.vec))
 
     def rotation(self) -> np.ndarray:
         w, (x, y, z) = self.w, self.vec

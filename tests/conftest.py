@@ -6,7 +6,7 @@ from vdcnal.config import builtin_config_path, load_robot
 from vdcnal.kinematics import Joint, RobotModel
 from vdcnal.manifold import bregman_divergence, spd_log_det
 from vdcnal.rigid_body import InertialParams
-from vdcnal.spatial import FrameTransform, rot_x
+from vdcnal.spatial import FrameTransform, axis_rotation
 
 
 def random_rotation(rng) -> np.ndarray:
@@ -64,7 +64,7 @@ def arm7() -> RobotModel:
     return load_robot(builtin_config_path("arm7"))
 
 
-# Single hinge in a vertical plane: base is rot_x(-pi/2) so the joint z-axis
+# Single hinge in a vertical plane: base is a -pi/2 turn about x so the joint z-axis
 # maps to world -y and gravity produces the textbook -m g l sin(q) torque.
 PEND_MASS = 1.0
 PEND_LENGTH = 0.5
@@ -87,7 +87,7 @@ def pendulum() -> RobotModel:
         name="hinge", axis="z", motor_inertia=0.0,
         tip=FrameTransform(np.eye(3), np.array([0.0, PEND_LENGTH, 0.0])),
         link=link)
-    base = FrameTransform(rot_x(-np.pi / 2.0), np.zeros(3))
+    base = FrameTransform(axis_rotation("x", -np.pi / 2.0), np.zeros(3))
     return RobotModel(name="pendulum", joints=(joint,), base=base,
                       gravity=np.array([0.0, 0.0, 9.8]))
 
@@ -114,7 +114,10 @@ MALFORMED_ROBOTS = {
         "bot.yaml: joints must be a non-empty list, got 5"),
     "short_limit": (
         lambda t: t.replace("    axis: z\n", "    axis: z\n    limit_rad: [1.0]\n"),
-        "bot.yaml:joints[1]: limit_rad must be a list of 2 finite numbers, got [1.0]"),
+        "bot.yaml:joints[1]: unknown keys ['limit_rad']"),
+    "home_pose": (
+        lambda t: t + "home_pose:\n  position_m: [0.0, 0.0, 0.2]\n",
+        "bot.yaml: unknown keys ['home_pose']"),
     "mass_not_a_number": (
         lambda t: t.replace("mass_kg: 1.0", 'mass_kg: "heavy"'),
         "bot.yaml:joints[1].link: mass_kg must be a finite number, got 'heavy'"),

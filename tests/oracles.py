@@ -9,14 +9,18 @@ projection law's step one channel at a time.  The forms at the end are the
 ones the library's constant maps and tables replaced: the Jacobian by cross
 products, the frame rotations by a sequential product, the pseudo-inertia
 unpacked entry by entry, and the Cartesian reference evaluated at one time on
-Python floats.
+Python floats.  Last come two inverses the library does not need: the checked
+inverse of the pseudo-inertia map for one matrix, and the joint-space mass
+matrix read off inverse-dynamics columns.
 """
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
+from vdcnal.manifold import pseudo_to_vectors
 from vdcnal.rigid_body import InertialParams, mass_matrix
+from vdcnal.simulation import inverse_dynamics
 from vdcnal.spatial import (euler_xyz_rate_matrix, euler_xyz_to_rotation, quat_from_rotation,
                             rotation_to_euler_xyz, skew)
 
@@ -83,7 +87,7 @@ def coriolis_matrix_original(params: InertialParams, omega) -> np.ndarray:
     """
     m = params.mass
     wx = skew(omega)
-    rx = skew(params.com)
+    rx = skew(params.first_moment / params.mass)
     hx = skew(params.first_moment)
     I_com = params.inertia + m * (rx @ rx)   # undo the frame-origin shift
     C = np.zeros((6, 6))
@@ -175,7 +179,7 @@ def propagate_velocities_per_link(model, q, qdot, qdot_r):
     prev, prev_r = np.zeros(6), np.zeros(6)
     for i, joint in enumerate(model.joints):
         R = _axis_rotation(joint.axis, q[i])
-        k = joint.selector
+        k = np.eye(6)[3 + "xyz".index(joint.axis)]
         vb[i] = _velocity_raw(R, np.zeros(3), prev) + k * qdot[i]
         vrb[i] = _velocity_raw(R, np.zeros(3), prev_r) + k * qdot_r[i]
         vt[i] = _velocity_raw(joint.tip.R, joint.tip.r, vb[i])
@@ -191,12 +195,13 @@ def propagate_accelerations_per_link(model, q, qdot, qddot, vt_chain):
     prev_a = np.zeros(6)
     for i, joint in enumerate(model.joints):
         R = _axis_rotation(joint.axis, q[i])
-        k3 = joint.axis_unit
+        k = np.eye(6)[3 + "xyz".index(joint.axis)]
+        k3 = k[3:]
         prev_v = vt_chain[i - 1] if i > 0 else np.zeros(6)
         a = _velocity_raw(R, np.zeros(3), prev_a)
         a[:3] -= qdot[i] * _cross(k3, R.T @ prev_v[:3])
         a[3:] -= qdot[i] * _cross(k3, R.T @ prev_v[3:])
-        ab[i] = a + joint.selector * qddot[i]
+        ab[i] = a + k * qddot[i]
         at[i] = _velocity_raw(joint.tip.R, joint.tip.r, ab[i])
         prev_a = at[i]
     return ab, at
@@ -296,7 +301,7 @@ def jacobian_cross_product(model, poses) -> np.ndarray:
     tip = poses.pt[-1]
     columns = []
     for i, joint in enumerate(model.joints):
-        u = poses.Rb[i] @ joint.axis_unit
+        u = poses.Rb[i] @ np.eye(3)["xyz".index(joint.axis)]
         columns.append(np.concatenate((_cross(u, tip - poses.pb[i]), u)))
     return np.array(columns).T
 
@@ -333,5 +338,25 @@ def cartesian_desired_scalar(chi0, chif, duration: float, t: float):
         chi, rate = chi0 + d * s, d * sd
     R = euler_xyz_to_rotation(*chi[3:])
     omega = euler_xyz_rate_matrix(chi[3], chi[4]) @ rate[3:]
+    quat = quat_from_rotation(R)
     return (np.concatenate((chi[:3], rotation_to_euler_xyz(R))),
-            quat_from_rotation(R).as_array(), np.concatenate((rate[:3], omega)))
+            np.concatenate(([quat.w], quat.vec)), np.concatenate((rate[:3], omega)))
+
+
+# --- inverses the library does not need -----------------------------------------
+
+def pseudo_to_params(L) -> InertialParams:
+    """Checked inverse of the pseudo-inertia map for one matrix."""
+    L = np.asarray(L, dtype=float)
+    if L.shape != (4, 4) or np.max(np.abs(L - L.T)) > 1e-9 * (1.0 + np.max(np.abs(L))):
+        raise ValueError("pseudo-inertia must be a symmetric 4x4")
+    m, hx, hy, hz, xx, yy, zz, xy, yz, xz = pseudo_to_vectors(0.5 * (L + L.T))
+    return InertialParams(m, [hx, hy, hz], [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+
+
+def joint_space_mass_matrix(model, q) -> np.ndarray:
+    """M_link(q) + diag(I_m): column j is the zero-gravity inverse dynamics at
+    rest with the unit acceleration e_j, plus the reflected drive inertia."""
+    rest = np.zeros(model.n)
+    columns = [inverse_dynamics(model, q, rest, e, gravity=np.zeros(3)) for e in np.eye(model.n)]
+    return np.column_stack(columns) + np.diag([j.motor_inertia for j in model.joints])

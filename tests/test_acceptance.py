@@ -17,6 +17,7 @@ from oracles import (
     coriolis_matrix_original,
     geodesic_distance,
     net_wrench,
+    pseudo_to_params,
 )
 from vdcnal.adaptation import NalLinkAdapter, initial_link_estimate, solve_dual
 from vdcnal.config import builtin_config_path, load_sim
@@ -29,11 +30,7 @@ from vdcnal.controller import (
     stability_diagnostics,
 )
 from vdcnal.kinematics import CartesianQuinticReference, chain_poses, forward_kinematics
-from vdcnal.manifold import (
-    is_consistent,
-    params_to_pseudo,
-    pseudo_to_params,
-)
+from vdcnal.manifold import is_consistent, params_to_pseudo
 from vdcnal.rigid_body import mass_matrix, regressor
 from vdcnal.simulation import (
     forward_dynamics,
@@ -158,7 +155,7 @@ def test_criterion_06_adversarial_signal_keeps_estimates_positive(arm7):
     dt, gamma, duration = 1e-3, 10.0, 60.0
     steps = int(round(duration / dt))
     phi0 = np.array([initial_link_estimate(joint.link).as_vector() for joint in arm7.joints])
-    adapter = NalLinkAdapter(phi0, gamma)
+    adapter = NalLinkAdapter(phi0, arm7.link_phi, gamma)
     # each link keeps its own signal stream, drawn 10 at a time as before
     rngs = [np.random.default_rng(600 + j) for j in range(arm7.n)]
     u = np.stack([rng.standard_normal((steps, 10)) for rng in rngs], axis=1)

@@ -286,6 +286,21 @@ def test_run_reports_divergence_as_error(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_run_names_a_link_estimate_leaving_the_cone(tmp_path, capsys):
+    # gamma = 1e-4 makes the first natural-law step overflow its exponential, and
+    # the run stops with the time, the repetition and the cause
+    text = (CONFIG_DIR / "rrr_compare.yaml").read_text()
+    assert text.count("  gamma: 10.0\n") == 1
+    sim = tmp_path / "rrr_compare.yaml"
+    sim.write_text(text.replace("  gamma: 10.0\n", "  gamma: 1.0e-4\n"))
+    man = _manifest(tmp_path, "rrr-compare", "rrr3.yaml", sim, reps=1, seed=7)
+    with np.errstate(all="ignore"):
+        assert main(["run", str(man)]) == 1
+    err = capsys.readouterr().err
+    assert "simulation diverged at t = 0.001 s (repetition 0)" in err
+    assert "link estimate left the positive-definite cone" in err
+
+
 def test_read_run_csv_rejects_garbage(tmp_path):
     from vdcnal.config import ConfigError
     path = tmp_path / "junk.csv"

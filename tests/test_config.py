@@ -13,6 +13,7 @@ from vdcnal.config import (
     load_sim,
     resolve_config_path,
 )
+from vdcnal.kinematics import forward_kinematics
 
 
 MINIMAL_ROBOT = """\
@@ -58,8 +59,9 @@ def test_load_shipped_robots():
     assert arm.n == 7
     assert np.allclose(arm.gravity, [0.0, 0.0, 9.8], atol=0.0)
     assert arm.joints[0].name == "shoulder_yaw"
-    assert arm.home_pose is not None
-    assert np.allclose(arm.home_pose.position, [0.35, 0.0, -0.30], atol=0.0)
+    # the q = 0 tip position its header states
+    assert np.allclose(forward_kinematics(arm, np.zeros(7)).position, [0.35, 0.0, -0.30],
+                       atol=1e-12)
     rrr = load_robot(builtin_config_path("rrr3"))
     assert rrr.n == 3
     assert rrr.validate() == []
@@ -71,7 +73,7 @@ def test_parallel_axis_applied_on_load(tmp_path):
     path.write_text(MINIMAL_ROBOT.format(mass=1.0))
     model = load_robot(path)
     link = model.joints[0].link
-    assert np.allclose(link.com, [0.0, 0.0, 0.1], atol=1e-15)
+    assert np.allclose(link.first_moment / link.mass, [0.0, 0.0, 0.1], atol=1e-15)
     c = np.array([0.0, 0.0, 0.1])
     shift = link.mass * (c @ c * np.eye(3) - np.outer(c, c))
     assert np.allclose(link.inertia, 1.0e-3 * np.eye(3) + shift, atol=1e-15)
@@ -158,9 +160,9 @@ def test_load_sim_duration_rules(tmp_path):
 
 def test_load_shipped_manifest():
     man = load_manifest(builtin_config_path("exo_pose_manifest"))
-    assert man.scenario == "exo-pose"
-    assert man.repetitions == 6
-    assert man.seed == 2024
+    assert man.cfg.scenario == "exo-pose"
+    assert man.cfg.repetitions == 6
+    assert man.cfg.seed == 2024
     # robot/sim referenced by bare name resolve next to the manifest
     assert man.robot_path == builtin_config_path("arm7")
     model, cfg = man.load()

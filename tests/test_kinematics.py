@@ -22,8 +22,8 @@ from vdcnal.rigid_body import InertialParams
 from vdcnal.spatial import (
     FrameTransform,
     UnitQuaternion,
+    axis_rotation,
     quat_from_rotation,
-    rot_z,
 )
 
 
@@ -34,21 +34,26 @@ def test_joint_validation():
         Joint("j", "w", 0.01, tip, link)
     with pytest.raises(ValueError, match="motor inertia"):
         Joint("j", "z", -0.01, tip, link)
-    k = Joint("j", "y", 0.01, tip, link).selector
-    assert np.array_equal(k, [0, 0, 0, 0, 1, 0])
+    model = RobotModel("m", (Joint("j", "y", 0.01, tip, link),), tip, np.zeros(3))
+    assert np.array_equal(np.eye(6)[model.slots[0]], [0, 0, 0, 0, 1, 0])
+
+
+# the q = 0 tip pose each shipped robot file states in its header
+HOME_POSES = {"rrr3": ([0.0, 0.0, -0.55], [1.0, 0.0, 0.0, 0.0]),
+              "arm7": ([0.35, 0.0, -0.30], [1.0, 0.0, 0.0, 0.0])}
 
 
 def test_forward_kinematics_matches_home_pose(rrr3, arm7):
     for model in (rrr3, arm7):
-        assert model.home_pose is not None
+        position, quaternion = HOME_POSES[model.name]
         pose = forward_kinematics(model, np.zeros(model.n))
-        assert np.allclose(pose.position, model.home_pose.position, atol=1e-9)
-        assert np.allclose(pose.orientation.as_array(),
-                           model.home_pose.orientation.as_array(), atol=1e-9)
+        assert np.allclose(pose.position, position, atol=1e-9)
+        assert np.allclose(np.concatenate(([pose.orientation.w], pose.orientation.vec)),
+                           quaternion, atol=1e-9)
 
 
 def test_pendulum_kinematics_by_hand(pendulum):
-    # base rot_x(-pi/2) turns the joint z-axis into world +y; at q = 0 the
+    # a -pi/2 base turn about x takes the joint z-axis to world +y; at q = 0 the
     # link points straight down
     pose = forward_kinematics(pendulum, np.zeros(1))
     assert np.allclose(pose.position, [0.0, 0.0, -0.5], atol=1e-12)
@@ -97,14 +102,15 @@ def test_chain_tip_frames_are_consistent(arm7):
 
 
 def test_orientation_error_properties():
-    q = quat_from_rotation(rot_z(0.8))
+    q = quat_from_rotation(axis_rotation("z", 0.8))
     assert np.allclose(orientation_error(q, q), 0.0, atol=1e-15)
     theta = 0.3
-    e = orientation_error(UnitQuaternion(1.0, np.zeros(3)), quat_from_rotation(rot_z(theta)))
+    e = orientation_error(UnitQuaternion(1.0, np.zeros(3)),
+                          quat_from_rotation(axis_rotation("z", theta)))
     assert np.allclose(e, [0.0, 0.0, np.sin(theta / 2.0)], atol=1e-12)
     # double-cover safety: negating either quaternion leaves the error alone
     flipped = UnitQuaternion(-q.w, -q.vec).sign_normalized()
-    target = quat_from_rotation(rot_z(-0.4))
+    target = quat_from_rotation(axis_rotation("z", -0.4))
     assert np.allclose(orientation_error(q, target),
                        orientation_error(flipped, target), atol=0.0)
 
@@ -116,7 +122,8 @@ def test_orientation_error_zero_only_at_match():
         qa = quat_from_rotation(random_rotation(rng))
         qb = quat_from_rotation(random_rotation(rng))
         e = orientation_error(qa, qb)
-        same = np.allclose(qa.as_array(), qb.as_array(), atol=1e-12)
+        same = np.allclose(np.concatenate(([qa.w], qa.vec)), np.concatenate(([qb.w], qb.vec)),
+                           atol=1e-12)
         assert (np.linalg.norm(e) < 1e-10) == same
 
 
@@ -299,7 +306,8 @@ def test_cartesian_table_matches_scalar_path(chif):
     # desired(t) is the table's code on one time
     for t, row in zip(times[:4], table):
         pose, vel = ref.desired(t)
-        assert np.allclose(pose.orientation.as_array(), row[6:10], atol=1e-15)
+        assert np.allclose(np.concatenate(([pose.orientation.w], pose.orientation.vec)),
+                           row[6:10], atol=1e-15)
         assert np.allclose(vel, row[10:], atol=1e-15)
     assert np.array_equal(table[3, 10:], np.zeros(6))
 
@@ -350,7 +358,7 @@ def test_pose_vector_round_trip():
 
 
 def test_pose_rotation_is_the_orientations_or_the_checked_matrix():
-    R = rot_z(0.8)
+    R = axis_rotation("z", 0.8)
     q = quat_from_rotation(R)
     assert np.allclose(Pose(np.zeros(3), q).rotation, q.rotation(), atol=0.0)
     assert Pose.from_rotation(np.zeros(3), R).rotation.tobytes() == R.tobytes()

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import divergence, random_consistent_params
-from oracles import bregman_divergence_eigen, geodesic_distance, riemannian_metric
-from vdcnal.manifold import (
-    is_consistent,
-    params_to_pseudo,
-    pseudo_to_params,
-)
+from oracles import (bregman_divergence_eigen, geodesic_distance, pseudo_to_params,
+                     riemannian_metric)
+from vdcnal.manifold import is_consistent, params_to_pseudo
 from vdcnal.adaptation import pseudo_basis
 from vdcnal.rigid_body import InertialParams
 

@@ -121,7 +121,12 @@ def test_inertia_vector_ordering():
 def test_params_vector_round_trip_and_com():
     rng = np.random.default_rng(16)
     params = random_consistent_params(rng)
-    assert np.allclose(params.com, params.first_moment / params.mass, atol=1e-15)
+    # first_moment / mass is the center of mass the parallel-axis shift uses
+    com = params.first_moment / params.mass
+    inertia_com = params.inertia - params.mass * (float(com @ com) * np.eye(3)
+                                                  - np.outer(com, com))
+    assert np.allclose(InertialParams.from_com(params.mass, com, inertia_com).as_vector(),
+                       params.as_vector(), atol=1e-15)
     vec = params.as_vector()
     assert vec[0] == params.mass
     assert np.array_equal(vec[1:4], params.first_moment)
@@ -134,7 +139,7 @@ def test_from_com_applies_parallel_axis():
     assert np.allclose(params.first_moment, m * c, atol=0.0)
     shift = m * (float(c @ c) * np.eye(3) - np.outer(c, c))
     assert np.allclose(params.inertia, ic + shift, atol=1e-15)
-    assert np.allclose(params.com, c, atol=1e-15)
+    assert np.allclose(params.first_moment / params.mass, c, atol=1e-15)
 
 
 def test_params_validation():

@@ -8,7 +8,7 @@ import pytest
 import vdcnal.simulation as simulation
 import vdcnal.spatial as spatial
 from conftest import pendulum_accel, random_rotation, zero_gravity_clone
-from oracles import coriolis_matrix_original, gravity_wrench
+from oracles import coriolis_matrix_original, gravity_wrench, joint_space_mass_matrix
 from vdcnal.config import builtin_config_path, load_robot, load_sim
 from vdcnal.kinematics import (CartesianQuinticReference, JointSineReference, RobotModel,
                                chain_poses, jacobian)
@@ -21,7 +21,6 @@ from vdcnal.simulation import (
     forward_dynamics,
     initial_configuration,
     inverse_dynamics,
-    joint_space_mass_matrix,
     make_adapters,
     orientation_angle_deg,
     rmse,
@@ -50,7 +49,7 @@ def _oracle_inverse_dynamics(model, q, qdot, qddot, f_ext=None, gravity=None):
     for i, joint in enumerate(model.joints):
         Rj = axis_rotation(joint.axis, q[i])
         Rjs.append(Rj)
-        k3 = joint.axis_unit
+        k3 = np.eye(3)["xyz".index(joint.axis)]
         vb[i, :3] = Rj.T @ v[:3]
         vb[i, 3:] = Rj.T @ v[3:]
         ab[i, :3] = Rj.T @ a[:3] - qdot[i] * cross3(k3, vb[i, :3])
@@ -304,7 +303,7 @@ def _potential(model, q):
     poses = chain_poses(model, q)
     U = 0.0
     for i, joint in enumerate(model.joints):
-        com_w = poses.pb[i] + poses.Rb[i] @ joint.link.com
+        com_w = poses.pb[i] + poses.Rb[i] @ (joint.link.first_moment / joint.link.mass)
         U += joint.link.mass * float(model.gravity @ com_w)
     return U
 
@@ -350,16 +349,17 @@ def test_forward_inverse_dynamics_round_trip(rrr3, arm7):
 
 
 def test_mass_matrix_batched_equals_naive(rrr3, arm7):
+    # the composite-inertia M the plant solves with (undone from forward
+    # dynamics at rest without gravity) against inverse-dynamics columns
     rng = np.random.default_rng(63)
     for model in (rrr3, arm7):
         q = rng.uniform(-1.0, 1.0, model.n)
-        M = joint_space_mass_matrix(model, q)
+        still = zero_gravity_clone(model)
+        M = np.linalg.inv(np.column_stack([
+            forward_dynamics(still, q, np.zeros(model.n), e) for e in np.eye(model.n)]))
         assert np.allclose(M, M.T, atol=1e-12)
         assert np.linalg.eigvalsh(M)[0] > 0.0
-        naive = np.column_stack([
-            inverse_dynamics(model, q, np.zeros(model.n), e,
-                             gravity=np.zeros(3)) for e in np.eye(model.n)])
-        naive += np.diag([j.motor_inertia for j in model.joints])
+        naive = joint_space_mass_matrix(model, q)
         assert np.allclose(M, naive, atol=1e-12)
 
 

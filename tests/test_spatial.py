@@ -8,14 +8,10 @@ from vdcnal.spatial import (
     FrameTransform,
     UnitQuaternion,
     axis_rotation,
-    axis_vector,
     cross3,
     euler_xyz_rate_matrix,
     euler_xyz_to_rotation,
     quat_from_rotation,
-    rot_x,
-    rot_y,
-    rot_z,
     rotation_to_euler_xyz,
     skew,
     transform_velocity_raw,
@@ -47,13 +43,13 @@ def test_skew_matches_cross():
 
 def test_axis_helpers():
     theta = 0.37
-    assert np.array_equal(axis_rotation("x", theta), rot_x(theta))
-    assert np.array_equal(axis_rotation("y", theta), rot_y(theta))
-    assert np.array_equal(axis_rotation("z", theta), rot_z(theta))
-    for ax in "xyz":
+    c, s = np.cos(theta), np.sin(theta)
+    assert np.array_equal(axis_rotation("x", theta), [[1, 0, 0], [0, c, -s], [0, s, c]])
+    assert np.array_equal(axis_rotation("y", theta), [[c, 0, s], [0, 1, 0], [-s, 0, c]])
+    assert np.array_equal(axis_rotation("z", theta), [[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    for k, ax in enumerate("xyz"):
         # rotating about an axis leaves that axis fixed
-        assert np.allclose(axis_rotation(ax, theta) @ axis_vector(ax),
-                           axis_vector(ax), atol=1e-15)
+        assert np.allclose(axis_rotation(ax, theta) @ np.eye(3)[k], np.eye(3)[k], atol=1e-15)
     with pytest.raises(KeyError):
         axis_rotation("w", 0.0)
 
@@ -138,11 +134,11 @@ def test_frame_transform_validation():
 
 def test_quaternion_examples():
     assert np.allclose(UnitQuaternion(1.0, np.zeros(3)).rotation(), np.eye(3), atol=0.0)
-    q = quat_from_rotation(rot_z(np.pi))
+    q = quat_from_rotation(axis_rotation("z", np.pi))
     assert abs(q.w) <= 1e-12
     assert np.allclose(q.vec, [0.0, 0.0, 1.0], atol=1e-12)
-    q = quat_from_rotation(rot_z(np.pi / 2.0))
-    assert np.allclose(q.as_array(),
+    q = quat_from_rotation(axis_rotation("z", np.pi / 2.0))
+    assert np.allclose(np.concatenate(([q.w], q.vec)),
                        [np.cos(np.pi / 4), 0.0, 0.0, np.sin(np.pi / 4)],
                        atol=1e-15)
 
@@ -166,7 +162,7 @@ def test_quaternion_sign_convention():
     rng = np.random.default_rng(7)
     for _ in range(500):
         q = quat_from_rotation(random_rotation(rng))
-        arr = q.as_array()
+        arr = np.concatenate(([q.w], q.vec))
         nz = arr[np.abs(arr) > 0.0]
         assert q.w > 0.0 or (q.w == 0.0 and nz[0] > 0.0)
     flipped = UnitQuaternion(-1.0, np.zeros(3)).sign_normalized()
@@ -221,7 +217,8 @@ def test_float_conversions_match_numpy_forms():
     for R in rotations:
         q = quat_from_rotation(R)
         assert q is q.sign_normalized()
-        assert np.max(np.abs(q.as_array() - quat_from_rotation_numpy(R))) <= 1e-15
+        assert np.max(np.abs(np.concatenate(([q.w], q.vec)) - quat_from_rotation_numpy(R))) \
+            <= 1e-15
         assert np.max(np.abs(rotation_to_euler_xyz(R) - rotation_to_euler_xyz_numpy(R))) <= 1e-15
 
 

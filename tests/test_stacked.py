@@ -137,8 +137,8 @@ def test_nal_step_matches_per_link_step(model, method):
     rng = np.random.default_rng(72)
     dt, gamma = 1e-3, 10.0
     for _ in range(STATES):
-        adapter = NalLinkAdapter([random_consistent_params(rng).as_vector()
-                                  for _ in range(model.n)], gamma, method)
+        phi = [random_consistent_params(rng).as_vector() for _ in range(model.n)]
+        adapter = NalLinkAdapter(phi, phi, gamma, method)
         L = adapter.L
         s = 10.0 * rng.standard_normal((model.n, 10))
         adapter.update(s, dt)
@@ -151,7 +151,7 @@ def test_carried_decomposition_stays_the_estimate(model):
     # the smallest eigenvalue an independent eigvalsh finds
     rng = np.random.default_rng(73)
     phi0 = np.array([random_consistent_params(rng).as_vector() for _ in range(model.n)])
-    adapter = NalLinkAdapter(phi0, gamma=10.0)
+    adapter = NalLinkAdapter(phi0, phi0, gamma=10.0)
     for k in range(STATES):
         adapter.update((10.0 if k % 2 == 0 else -10.0) * rng.standard_normal((model.n, 10)),
                        1e-3)
@@ -215,8 +215,8 @@ def test_phi_hat_matches_entrywise_unpack(model):
     # unpack forms tr - L_00 and so rounds at the trace's scale, up to 2 ulps
     rng = np.random.default_rng(80)
     for k in range(STATES):
-        adapter = NalLinkAdapter([random_consistent_params(rng).as_vector()
-                                  for _ in range(model.n)], gamma=10.0)
+        phi = [random_consistent_params(rng).as_vector() for _ in range(model.n)]
+        adapter = NalLinkAdapter(phi, phi, gamma=10.0)
         if k % 2:
             adapter.update(10.0 * rng.standard_normal((model.n, 10)), 1e-3)
         L = adapter.L

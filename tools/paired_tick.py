@@ -68,7 +68,7 @@ class Side:
         self.simulation, config, controller = load_tree(src, f"vdcnal_{name}")
         loaded = config.load_manifest(config.resolve_config_path(manifest))
         self.model, self.cfg = loaded.load()
-        self.adapters = (("nal", "projection") if loaded.scenario == "rrr-compare"
+        self.adapters = (("nal", "projection") if self.cfg.scenario == "rrr-compare"
                          else (self.cfg.adapter,))
         self.runs = []
         untimed = controller.VdcController.step
