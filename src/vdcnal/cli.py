@@ -9,7 +9,15 @@ Three subcommands:
 Run directories are self-describing: the manifest and both config files are
 snapshotted under <output_dir>/config, and re-running from that snapshot
 reproduces every CSV byte for byte (floats are written with full round-trip
-precision; wall-clock timing stays out of the CSVs for that reason).
+precision; wall-clock timing stays out of the CSVs for that reason).  A
+repetition that diverges is named on stderr and under its law's ``failed``
+key in summary.yaml; the other repetitions and laws still run.
+
+``report`` reads a CSV's data block in one NumPy call and checks that every
+row is as wide as the header.  All YAML (configs, the CSV meta lines,
+summary.yaml) is parsed with PyYAML's libyaml loader when PyYAML was built
+with it, and with its pure-Python loader otherwise; both give the same
+documents.
 """
 from __future__ import annotations
 
@@ -21,8 +29,8 @@ import sys
 import numpy as np
 import yaml
 
-from .config import (ConfigError, ExperimentManifest, load_manifest, load_mapping,
-                     load_robot, load_sim, resolve_config_path)
+from .config import (YAML_LOADER, ConfigError, ExperimentManifest, load_manifest,
+                     load_mapping, load_robot, load_sim, resolve_config_path)
 from .simulation import RunLog, run_scenario, summarize, tuning_burden
 
 # recorded for context next to exo-pose results: operator-in-the-loop
@@ -52,14 +60,26 @@ def _meta_str(value) -> str:
 
 
 def write_run_csv(path: pathlib.Path, log: RunLog) -> None:
+    """Write ``log`` as ``# key: value`` meta lines, a header row and one row per tick.
+
+    Every float is written as ``%.17g``, which reads back as the same float64
+    (nan, inf and -0 included); each row is formatted by one ``%`` call.
+    """
     lines = [f"# {key}: {_meta_str(log.meta[key])}" for key in _META_KEYS]
     lines.append(",".join(log.columns))
-    for row in log.data:
-        lines.append(",".join(_fmt(v) for v in row))
+    row = ",".join(["%.17g"] * log.data.shape[1])
+    lines.extend(row % tuple(values) for values in log.data.tolist())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_run_csv(path) -> RunLog:
+    """The RunLog in a CSV that ``write_run_csv`` wrote.
+
+    Meta values are read as YAML.  The data block is parsed by one
+    ``np.loadtxt`` call; a cell that is not a float (an empty one, or a line
+    starting with '#'), a ragged row, or rows narrower or wider than the
+    header are a ConfigError naming the file.
+    """
     path = pathlib.Path(path)
     meta = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -69,17 +89,25 @@ def read_run_csv(path) -> RunLog:
         key, sep, val = lines[i][1:].partition(":")
         if not sep:
             raise ConfigError(f"{path}: malformed meta line {lines[i]!r}")
-        meta[key.strip()] = yaml.safe_load(val.strip())
+        try:
+            meta[key.strip()] = yaml.load(val.strip(), Loader=YAML_LOADER)
+        except (ValueError, yaml.YAMLError) as exc:
+            raise ConfigError(f"{path}: malformed meta line {lines[i]!r} ({exc})") from exc
         i += 1
     if i >= len(lines) or not lines[i]:
         raise ConfigError(f"{path}: missing header row")
     columns = lines[i].split(",")
-    body = [ln for ln in lines[i + 1:] if ln]
-    try:
-        data = np.array([[float(x) for x in ln.split(",")] for ln in body])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed data row ({exc})") from exc
-    data = data.reshape(-1, len(columns)) if body else np.empty((0, len(columns)))
+    body = lines[i + 1:]
+    if not any(body):                   # loadtxt warns on a block with no rows
+        data = np.empty((0, len(columns)))
+    else:
+        try:
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed data row ({exc})") from exc
+        if data.shape[1] != len(columns):
+            raise ConfigError(f"{path}: the header has {len(columns)} columns but "
+                              f"the data rows have {data.shape[1]}")
     missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise ConfigError(f"{path}: meta block lacks key {missing[0]!r}")
@@ -146,6 +174,8 @@ def _mean_std(values) -> dict:
 
 
 def _aggregate(reps: list[dict]) -> dict:
+    if not reps:
+        return {}
     out = {}
     numeric = [k for k in reps[0]
                if k.startswith(("rmse_", "max_", "min_")) and
@@ -171,9 +201,14 @@ def cmd_run(manifest_path, output_override=None) -> int:
     results = {}
     timing = {}
     for adapter in adapters:
-        reps = []
+        reps, failed = [], []
         for rep in range(cfg.repetitions):
-            log = run_scenario(model, cfg, repetition=rep, adapter=adapter)
+            try:
+                log = run_scenario(model, cfg, repetition=rep, adapter=adapter)
+            except FloatingPointError as exc:
+                print(f"{adapter} rep {rep}: FAIL {exc}", file=sys.stderr)
+                failed.append({"repetition": rep, "error": str(exc)})
+                continue
             csv_path = outdir / f"{_slug(cfg.scenario)}_{adapter}_rep{rep}.csv"
             write_run_csv(csv_path, log)
             reps.append(log.summary)
@@ -183,6 +218,8 @@ def cmd_run(manifest_path, output_override=None) -> int:
             line = ", ".join(f"{k} {v:.12g}" for k, v in sorted(stats.items()))
             print(f"{adapter} rep {rep}: {line}")
         results[adapter] = {"repetitions": reps, "aggregate": _aggregate(reps)}
+        if failed:
+            results[adapter]["failed"] = failed
 
     summary = {
         "scenario": cfg.scenario,
@@ -213,7 +250,7 @@ def cmd_run(manifest_path, output_override=None) -> int:
                          for k, v in sorted(agg.items()))
         print(f"{adapter} aggregate: {line}")
     print(f"wrote {outdir}/{_SUMMARY_NAME}")
-    return 0
+    return 1 if any("failed" in r for r in results.values()) else 0
 
 
 # --- report --------------------------------------------------------------------
@@ -246,21 +283,26 @@ def cmd_report(log_paths) -> int:
             print(f"{name}: FAIL no {_SUMMARY_NAME} next to the log", file=sys.stderr)
             failures += 1
             continue
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            stored_doc = yaml.safe_load(fh)
+        try:
+            stored_doc = load_mapping(summary_path)
+        except ConfigError as exc:
+            print(f"{name}: FAIL {exc}", file=sys.stderr)
+            failures += 1
+            continue
         try:
             reps = stored_doc["adapters"][log.meta["adapter"]]["repetitions"]
             stored = next(r for r in reps
                           if r["repetition"] == log.meta["repetition"])
-        except (KeyError, StopIteration):
-            print(f"{name}: FAIL stored summary has no entry for adapter "
+        except (KeyError, StopIteration, TypeError):  # TypeError: a level is no mapping
+            print(f"{name}: FAIL {summary_path} has no entry for adapter "
                   f"{log.meta['adapter']!r} repetition {log.meta['repetition']}",
                   file=sys.stderr)
             failures += 1
             continue
         for key, value in stats.items():
-            if key not in stored:
-                print(f"{name}: FAIL stored summary lacks {key!r}", file=sys.stderr)
+            if not isinstance(stored.get(key), (int, float)):
+                print(f"{name}: FAIL {summary_path} has no number for {key!r}",
+                      file=sys.stderr)
                 failures += 1
             elif not (_close(value, float(stored[key])) if isinstance(value, float)
                       else value == stored[key]):     # counts compare exactly

@@ -23,6 +23,10 @@ from .spatial import FrameTransform, euler_xyz_to_rotation
 
 _CONFIG_DIR = pathlib.Path(__file__).resolve().parent / "configs"
 
+# libyaml's parser where PyYAML was built with it: it feeds the same resolver
+# and constructor as the pure-Python loader, so the documents are equal
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """A config file failed to parse or failed validation."""
@@ -56,7 +60,7 @@ def load_mapping(path: pathlib.Path) -> dict:
     """The YAML mapping in ``path``; any failure to read one is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
     except ValueError as exc:           # e.g. an integer beyond int()'s digit limit

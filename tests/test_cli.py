@@ -9,9 +9,11 @@ import yaml
 
 from conftest import MALFORMED_MANIFESTS, MALFORMED_ROBOTS, MANIFEST_TEXT, ROBOT_TEXT
 from vdcnal.cli import _META_KEYS, main, read_run_csv, write_run_csv
-from vdcnal.config import builtin_config_path
+from vdcnal.config import YAML_LOADER, ConfigError, builtin_config_path
+from vdcnal.simulation import RunLog
 
 CONFIG_DIR = builtin_config_path("arm7").parent
+WORKLOAD_DIR = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def _short_sim(tmp_path, name, duration):
@@ -30,6 +32,16 @@ def _manifest(tmp_path, scenario, robot, sim_path, reps, seed):
         f"scenario: {scenario}\nrobot: {robot}\nsim: {sim_path.name}\n"
         f"output_dir: {tmp_path / 'out'}\nrepetitions: {reps}\nseed: {seed}\n")
     return path
+
+
+def _diverging_rrr_manifest(tmp_path, duration):
+    """rrr_compare with gamma = 1e-4: the first natural-law step overflows its
+    exponential, and the projection law does not use gamma."""
+    sim = _short_sim(tmp_path, "rrr_compare", duration)
+    text = sim.read_text()
+    assert text.count("  gamma: 10.0\n") == 1
+    sim.write_text(text.replace("  gamma: 10.0\n", "  gamma: 1.0e-4\n"))
+    return _manifest(tmp_path, "rrr-compare", "rrr3.yaml", sim, reps=1, seed=7)
 
 
 def test_validate_shipped_configs(capsys):
@@ -287,13 +299,8 @@ def test_run_reports_divergence_as_error(tmp_path, capsys):
 
 
 def test_run_names_a_link_estimate_leaving_the_cone(tmp_path, capsys):
-    # gamma = 1e-4 makes the first natural-law step overflow its exponential, and
     # the run stops with the time, the repetition and the cause
-    text = (CONFIG_DIR / "rrr_compare.yaml").read_text()
-    assert text.count("  gamma: 10.0\n") == 1
-    sim = tmp_path / "rrr_compare.yaml"
-    sim.write_text(text.replace("  gamma: 10.0\n", "  gamma: 1.0e-4\n"))
-    man = _manifest(tmp_path, "rrr-compare", "rrr3.yaml", sim, reps=1, seed=7)
+    man = _diverging_rrr_manifest(tmp_path, 0.05)
     with np.errstate(all="ignore"):
         assert main(["run", str(man)]) == 1
     err = capsys.readouterr().err
@@ -301,8 +308,28 @@ def test_run_names_a_link_estimate_leaving_the_cone(tmp_path, capsys):
     assert "link estimate left the positive-definite cone" in err
 
 
+def test_run_goes_on_after_a_diverging_law(tmp_path, capsys):
+    man = _diverging_rrr_manifest(tmp_path, 0.05)
+    with np.errstate(all="ignore"):
+        assert main(["run", str(man)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [ln for ln in err if "diverged" in ln] == [
+        "nal rep 0: FAIL simulation diverged at t = 0.001 s (repetition 0): "
+        "link estimate left the positive-definite cone"]
+    outdir = tmp_path / "out"
+    assert sorted(p.name for p in outdir.glob("*.csv")) == ["rrr_compare_projection_rep0.csv"]
+    with open(outdir / "summary.yaml") as fh:
+        summary = yaml.safe_load(fh)
+    nal, projection = summary["adapters"]["nal"], summary["adapters"]["projection"]
+    assert nal["repetitions"] == [] and nal["aggregate"] == {}
+    assert [f["repetition"] for f in nal["failed"]] == [0]
+    assert "left the positive-definite cone" in nal["failed"][0]["error"]
+    assert "failed" not in projection
+    assert len(projection["repetitions"]) == 1 and "rmse_joint_1_rad" in projection["aggregate"]
+    assert main(["report", str(outdir / "rrr_compare_projection_rep0.csv")]) == 0
+
+
 def test_read_run_csv_rejects_garbage(tmp_path):
-    from vdcnal.config import ConfigError
     path = tmp_path / "junk.csv"
     path.write_text("# broken meta line\n")
     with pytest.raises(ConfigError, match="malformed meta"):
@@ -313,6 +340,78 @@ def test_read_run_csv_rejects_garbage(tmp_path):
     path.write_text("# a: 1\nt_s,x\n1.0,nope\n")
     with pytest.raises(ConfigError, match="malformed data"):
         read_run_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# a: [unclosed\nt_s,x\n1.0,2.0\n", "malformed meta line '# a: \\[unclosed'"),
+    # a '#' line inside the data is no comment, and an empty cell no number
+    ("# a: 1\nt_s,x\n1.0,2.0\n#3.0,4.0\n", "malformed data"),
+    ("# a: 1\nt_s,x\n1.0,2.0\n3.0,\n", "malformed data"),
+    ("# a: 1\nt_s,x\n1.0,2.0\n3.0,4.0,5.0\n", "malformed data"),
+    ("# a: 1\nt_s,x\n1.0,2.0\n \n", "malformed data"),
+    ("# a: 1\nt_s,x\n1.0\n2.0\n", "the header has 2 columns but the data rows have 1$"),
+    ("# a: 1\nt_s,x\n1.0,2.0,3.0,4.0\n", "the header has 2 columns but the data rows have 4$"),
+])
+def test_read_run_csv_names_the_file_of_a_malformed_log(tmp_path, text, message):
+    path = tmp_path / "run.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message) as info:
+        read_run_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072009e-308, 2.2250738585072014e-308, 1.797e308,
+                  np.finfo(float).max, -np.finfo(float).max, 0.1, 1.0 / 3.0]
+
+
+def test_csv_round_trips_every_float64_bit_for_bit(pose_run, tmp_path):
+    # 10 000 random float64 bit patterns and the special values, 8 to a row
+    bits = np.random.default_rng(5).integers(0, 2**64, 10_000, dtype=np.uint64)
+    values = np.concatenate([bits.view(np.float64), SPECIAL_FLOATS, np.zeros(2)])
+    meta = read_run_csv(pose_run / "exo_pose_nal_rep0.csv").meta
+    log = RunLog([f"c{k}" for k in range(8)], values.reshape(-1, 8), meta, {})
+    path = tmp_path / "bits.csv"
+    write_run_csv(path, log)
+    back = read_run_csv(path)
+    assert back.columns == log.columns and back.data.shape == log.data.shape
+    nan = np.isnan(log.data)
+    assert (np.isnan(back.data) == nan).all()
+    assert (back.data.view(np.uint64)[~nan] == log.data.view(np.uint64)[~nan]).all()
+    # the text is the one a per-value format(v, ".17g") writer gives
+    rows = [",".join(format(v, ".17g") for v in row) for row in log.data.tolist()]
+    lines = path.read_text().splitlines()
+    assert lines[len(_META_KEYS) + 1:] == rows
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")) +
+                         sorted(WORKLOAD_DIR.glob("*.yaml")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_yaml_loader_reads_the_documents_the_python_loader_reads(path):
+    text = path.read_text()
+    assert yaml.load(text, Loader=YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("adapters: [unclosed\n", "not valid YAML"),
+    ("- adapters\n", "top level must be a mapping"),
+    ("adapters: {nal: 3}\n", "has no entry for adapter 'nal' repetition 0"),
+    ("adapters: {nal: {repetitions: [{repetition: 0, rmse_position_mm: [1]}]}}\n",
+     "has no number for 'rmse_position_mm'"),
+])
+def test_report_names_a_bad_summary_and_goes_on(pose_run, tmp_path, capsys, text, message):
+    bad = tmp_path / "exo_pose_nal_rep0.csv"
+    bad.write_bytes((pose_run / "exo_pose_nal_rep0.csv").read_bytes())
+    summary = tmp_path / "summary.yaml"
+    summary.write_text(text)
+    good = pose_run / "exo_pose_nal_rep1.csv"
+    assert main(["report", str(bad), str(good)]) == 1
+    captured = capsys.readouterr()
+    fail = [ln for ln in captured.err.splitlines() if "FAIL" in ln]
+    assert fail and all(ln.startswith(f"{bad}: FAIL {summary}") for ln in fail)
+    assert any(message in ln for ln in fail)
+    assert f"{good}: " in captured.out and "rmse_position_mm" in captured.out
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("text, message", [

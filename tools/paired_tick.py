@@ -24,6 +24,14 @@ drift between the two trees' logs and summaries, entry by entry as
 |a - b| / (1 + |b|) with b the ``before`` value, the form the test suite's
 tolerances take, with the column or summary figure where it occurs.
 
+After each pair the ``before`` tree's logs also go through both trees' CSV
+I/O: each tree's ``write_run_csv`` writes them, and each tree's
+``read_run_csv`` reads the files back.  Any byte difference between the
+written files, or any bit difference between the arrays read back, ends the
+script with exit code 1.  Those calls give two more figures per tree,
+``csv_write_rows_per_s`` and ``csv_read_rows_per_s`` (all rows over the
+time of all calls).
+
 Run it with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``), as the
 benchmark does.
 """
@@ -35,6 +43,7 @@ import json
 import pathlib
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -48,7 +57,7 @@ PAIRS = 5
 
 def load_tree(src: pathlib.Path, alias: str):
     """Import ``src/vdcnal`` as the package ``alias``; returns its simulation,
-    config and controller modules."""
+    config, controller and cli modules."""
     pkg = pathlib.Path(src).resolve() / "vdcnal"
     spec = importlib.util.spec_from_file_location(
         alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
@@ -57,7 +66,8 @@ def load_tree(src: pathlib.Path, alias: str):
     spec.loader.exec_module(module)
     return (importlib.import_module(f"{alias}.simulation"),
             importlib.import_module(f"{alias}.config"),
-            importlib.import_module(f"{alias}.controller"))
+            importlib.import_module(f"{alias}.controller"),
+            importlib.import_module(f"{alias}.cli"))
 
 
 class Side:
@@ -65,7 +75,7 @@ class Side:
 
     def __init__(self, name: str, src: pathlib.Path, manifest: str):
         self.name = name
-        self.simulation, config, controller = load_tree(src, f"vdcnal_{name}")
+        self.simulation, config, controller, self.cli = load_tree(src, f"vdcnal_{name}")
         loaded = config.load_manifest(config.resolve_config_path(manifest))
         self.model, self.cfg = loaded.load()
         self.adapters = (("nal", "projection") if self.cfg.scenario == "rrr-compare"
@@ -114,6 +124,34 @@ def drift(before_logs, after_logs) -> tuple[tuple, tuple]:
     return logged, summary
 
 
+def csv_io(sides, order, logs, tmp: pathlib.Path) -> dict:
+    """Each side's [csv_write_rows_per_s, csv_read_rows_per_s] over ``logs``.
+
+    Raises RuntimeError when the two sides write different bytes or read back
+    different logs.
+    """
+    rows = sum(len(log.data) for log in logs)
+    paths = {name: [tmp / f"{name}_{k}.csv" for k in range(len(logs))] for name in order}
+    rates, read = {}, {}
+    for name in order:
+        start = time.perf_counter()
+        for path, log in zip(paths[name], logs):
+            sides[name].cli.write_run_csv(path, log)
+        rates[name] = [rows / (time.perf_counter() - start)]
+    for a, b in zip(paths["after"], paths["before"]):
+        if a.read_bytes() != b.read_bytes():
+            raise RuntimeError(f"the two trees' write_run_csv wrote different bytes ({b.name})")
+    for name in order:
+        start = time.perf_counter()
+        read[name] = [sides[name].cli.read_run_csv(path) for path in paths["before"]]
+        rates[name].append(rows / (time.perf_counter() - start))
+    for a, b, path in zip(read["after"], read["before"], paths["before"]):
+        if (a.columns, a.meta, a.data.shape) != (b.columns, b.meta, b.data.shape) or \
+                (a.data.view(np.uint64) != b.data.view(np.uint64)).any():
+            raise RuntimeError(f"the two trees' read_run_csv read different logs ({path.name})")
+    return rates
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("before", type=pathlib.Path)
@@ -127,19 +165,32 @@ def main(argv=None) -> int:
     worst = ((0.0, None), (0.0, None))
     for pair in range(PAIRS):
         logs = {}
-        for name in (("before", "after") if pair % 2 == 0 else ("after", "before")):
+        order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+        for name in order:
             logs[name], (rate, step_ms, wall_s) = sides[name].round()
-            figures[name].append((rate, step_ms, wall_s))
+            figures[name].append([rate, step_ms, wall_s])
             print(f"pair {pair} {name:6s} sim_ticks_per_s {rate:8.1f} "
                   f"control_step_p50_ms {step_ms:.4f} round_wall_s {wall_s:.4f}", flush=True)
         worst = tuple(max(w, d, key=lambda x: x[0])
                       for w, d in zip(worst, drift(logs["before"], logs["after"])))
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                io_rates = csv_io(sides, order, logs["before"], pathlib.Path(tmp))
+            except RuntimeError as exc:
+                print(f"pair {pair}: {exc}", file=sys.stderr)
+                return 1
+        for name in order:
+            figures[name][-1].extend(io_rates[name])
+            print(f"pair {pair} {name:6s} csv_write_rows_per_s {io_rates[name][0]:8.0f} "
+                  f"csv_read_rows_per_s {io_rates[name][1]:8.0f}", flush=True)
 
     result = {"manifest": args.manifest, "pairs": PAIRS}
     pairs = list(zip(figures["after"], figures["before"]))
     for k, (figure, higher) in enumerate((("sim_ticks_per_s", True),
                                           ("control_step_p50_ms", False),
-                                          ("round_wall_s", False))):
+                                          ("round_wall_s", False),
+                                          ("csv_write_rows_per_s", True),
+                                          ("csv_read_rows_per_s", True))):
         result[figure] = {
             **{name: statistics.median(f[k] for f in figures[name]) for name in sides},
             "after_won": sum(bool(a[k] > b[k] if higher else a[k] < b[k]) for a, b in pairs)}
